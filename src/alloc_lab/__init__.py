@@ -22,11 +22,7 @@ from .models import (
     StudentTGen,
     empirical_es,
     empirical_var,
-    joint_logdensity,
-    joint_logdensity_grad,
-    margin_quantile,
     model_from_config,
-    sample_joint,
 )
 from .conditional import (
     ConditionalTarget,

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +14,8 @@ from .errors import (
     ShapeError,
     StabilityError,
 )
-from .models import empirical_var, sample_joint, split_seeds
+from .models import empirical_var, split_seeds
+from .modes import scenario_weights
 from .samplers import Polytope
 
 
@@ -120,9 +120,7 @@ class ScenarioSet:
 def scenarios_from_modes(modeset, model, min_weight=0.0):
     """ScenarioSet from a ModeSet with plausibility weights; renormalizes after
     discarding low-weight modes and reports the discarded mass."""
-    from .modes import scenario_weights
-
-    w = scenario_weights(modeset, model)
+    w = scenario_weights([model.logpdf(loc) for loc in modeset.locations])
     keep = w >= min_weight
     discarded = float(w[~keep].sum())
     if not keep.any():
@@ -169,7 +167,7 @@ def core_polytope(model, p, n_cal, seed):
     if n_cal < 10.0 / (1.0 - p):
         raise SampleSizeError("calibration sample too small for this level")
     d = model.d
-    x = sample_joint(model, n_cal, seed)
+    x = model.sample(n_cal, seed)
     constraints = []
     K = None
     for bits in itertools.product((0, 1), repeat=d):

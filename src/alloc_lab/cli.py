@@ -9,7 +9,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    Allocation,
     ScenarioSet,
     core_polytope,
     euler_allocation,
@@ -35,10 +33,9 @@ from .models import (
     empirical_model_from_matrix,
     empirical_var,
     model_from_config,
-    sample_joint,
     split_seeds,
 )
-from .modes import MeanShiftConfig, mean_shift_modes, scenario_weights
+from .modes import MeanShiftConfig, mean_shift_modes, radius_merge, scenario_weights
 from .samplers import HMCConfig, MHConfig, SlabConfig, hmc_reflect_chain, mh_chain, slab_sample
 
 
@@ -101,7 +98,7 @@ def _resolve_capital(doc, model, seed):
     if sampler.get("method") == "hmc" and sampler.get("core", False):
         poly, K = core_polytope(model, p, n_cal, seed)
         return float(K), poly
-    s = sample_joint(model, n_cal, seed).sum(axis=1)
+    s = model.sample(n_cal, seed).sum(axis=1)
     return float(empirical_var(s, p)), None
 
 
@@ -155,36 +152,24 @@ def _run_replication(model, K, doc, polytope, seed):
 
 
 def aggregate_modesets(modesets, radius):
-    """Cluster per-replication modes; returns cluster summaries."""
-    entries = []
-    for rep, ms in enumerate(modesets):
-        for loc, logf in zip(ms.locations, ms.log_densities):
-            entries.append((logf, rep, loc))
-    entries.sort(key=lambda e: -e[0])
-    clusters = []
-    for logf, rep, loc in entries:
-        for cl in clusters:
-            if np.linalg.norm(loc - cl["seed"]) <= radius:
-                cl["members"].append(loc)
-                cl["reps"].add(rep)
-                break
-        else:
-            clusters.append({"seed": loc, "members": [loc], "reps": {rep},
-                             "log_density": logf})
+    """Cluster per-replication modes; returns cluster summaries in
+    descending density of each cluster's highest member."""
+    locs = np.concatenate([ms.locations for ms in modesets])
+    logf = np.concatenate([ms.log_densities for ms in modesets])
+    reps = np.concatenate([np.full(len(ms), r) for r, ms in enumerate(modesets)])
     nreps = len(modesets)
     out = []
-    for cl in clusters:
-        members = np.array(cl["members"])
+    for idx in radius_merge(locs, logf, radius):
+        members = locs[idx]
         out.append({
             "location": members.mean(axis=0),
             "se": members.std(axis=0, ddof=1) if members.shape[0] > 1 else np.zeros(members.shape[1]),
-            "support": len(cl["reps"]) / nreps,
+            "support": len(set(reps[idx])) / nreps,
             "members": members.shape[0],
-            "log_density": float(cl["log_density"]),
+            "log_density": float(logf[idx[0]]),
         })
     min_support = 0.5 if nreps > 1 else 0.0
     kept = [c for c in out if c["support"] > min_support]
-    kept.sort(key=lambda c: -c["log_density"])
     return kept if kept else out
 
 
@@ -217,16 +202,11 @@ def run_pipeline(doc, base_dir="."):
                 warnings.append(f"replication {r}: mean-shift convergence below 80%")
             modesets.append(ms)
 
-    euler_reps = np.array([
-        euler_allocation(s, K, ess=info.get("ess")).a
-        for s, info in zip(rep_samples, rep_info)
-    ])
+    eulers = [euler_allocation(s, K, ess=info.get("ess"))
+              for s, info in zip(rep_samples, rep_info)]
+    euler_reps = np.array([e.a for e in eulers])
     euler_mean = euler_reps.mean(axis=0)
-    if R > 1:
-        euler_se = euler_reps.std(axis=0, ddof=1)
-    else:
-        single = euler_allocation(rep_samples[0], K, ess=rep_info[0].get("ess"))
-        euler_se = single.se
+    euler_se = euler_reps.std(axis=0, ddof=1) if R > 1 else eulers[0].se
 
     report = {
         "capital": K,
@@ -263,15 +243,16 @@ def run_pipeline(doc, base_dir="."):
             )
             report["mla"] = None
 
-    if clusters is not None and (alloc_doc.get("adjust", True) and len(clusters) >= 1):
-        locs = np.array([c["location"] for c in clusters])
-        # cluster log-densities are conditional-target values, whose ratios
-        # equal the joint-density ratios on the hyperplane
-        logw = np.array([c["log_density"] for c in clusters])
-        w = np.exp(logw - logw.max())
-        w = w / w.sum()
-        w[-1] = 1.0 - w[:-1].sum()
+    if clusters is not None and alloc_doc.get("adjust", True):
         if len(clusters) > 1:
+            locs = np.array([c["location"] for c in clusters])
+            if model.has_density:
+                logf = model.logpdf(locs)
+            else:
+                # no density to evaluate: the KDE value each cluster's
+                # highest member was ranked by
+                logf = [c["log_density"] for c in clusters]
+            w = scenario_weights(logf)
             sset = ScenarioSet(locs, w, K=K, sum_tol=1e-6 * max(1.0, abs(K)))
             lam = float(alloc_doc.get("lambda", 1.0))
             base, adj, total = multimodality_adjust(sset, lam)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import (
     BoundaryError,
@@ -248,14 +248,6 @@ class Empirical(Margin):
         n = self.sample.size
         k = np.maximum(np.ceil(p * n).astype(int), 1)
         return self.sample[np.minimum(k, n) - 1]
-
-    def sample_n(self, n, rng):
-        return rng.choice(self.sample, size=n, replace=True)
-
-
-def margin_quantile(margin, p):
-    """F^{-1}(p) for a Margin; p in {0, 1} only at finite endpoints."""
-    return margin.quantile(p)
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +649,6 @@ def _fd_grad(f, x, rel=1e-6):
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-def joint_logdensity(model, x):
-    return model.logpdf(x)
-
-
-def joint_logdensity_grad(model, x):
-    return model.grad_logpdf(x)
-
-
-def sample_joint(model, n, seed):
-    return model.sample(n, seed)
-
 
 def empirical_var(samples, p):
     samples = np.asarray(samples, dtype=float).ravel()

@@ -8,7 +8,7 @@ import numpy as np
 
 from .conditional import pin_row_sums
 from .errors import DegenerateWeightError, ParameterError, SampleSizeError
-from .models import DispersionMatrix, joint_logdensity
+from .models import DispersionMatrix
 
 
 @dataclass
@@ -107,6 +107,27 @@ def mean_shift_fixed_points(samples, cfg, starts=None, rng=None):
     return pts, converged, H
 
 
+def radius_merge(points, logf, radius):
+    """Greedy clusters of `points`, visited in descending `logf`.
+
+    Each point joins the first cluster whose seed (its first, highest-logf
+    member) lies within `radius`, or else seeds a new cluster; points with
+    non-finite logf join none.  Returns one list of point indices per
+    cluster, seed first, clusters in descending seed logf.
+    """
+    clusters = []
+    for i in np.argsort(-logf, kind="stable"):
+        if not np.isfinite(logf[i]):
+            continue
+        for members in clusters:
+            if np.linalg.norm(points[i] - points[members[0]]) <= radius:
+                members.append(i)
+                break
+        else:
+            clusters.append([i])
+    return clusters
+
+
 def mean_shift_modes(samples, target, cfg=None):
     """Mode set of the conditional law from samples of its first d-1 coords."""
     cfg = cfg or MeanShiftConfig()
@@ -129,28 +150,13 @@ def mean_shift_modes(samples, target, cfg=None):
         # density-free models: rank by the KDE, masked to the support
         logf = kde_logvalues(fixed, samples, H)
         logf[~target.support.contains(fixed)] = -np.inf
-    order = np.argsort(-logf)
-    centers = []
-    center_logf = []
-    counts = []
-    for i in order:
-        if not np.isfinite(logf[i]):
-            continue
-        placed = False
-        for c, ctr in enumerate(centers):
-            if np.linalg.norm(fixed[i] - ctr) <= radius:
-                counts[c] += 1
-                placed = True
-                break
-        if not placed:
-            centers.append(fixed[i])
-            center_logf.append(logf[i])
-            counts.append(1)
-    if not centers:
+    clusters = radius_merge(fixed, logf, radius)
+    if not clusters:
         raise ParameterError("no mean-shift fixed point had positive target density")
-    centers = np.array(centers)
-    center_logf = np.array(center_logf)
-    counts = np.array(counts)
+    seeds = [members[0] for members in clusters]
+    centers = fixed[seeds]
+    center_logf = logf[seeds]
+    counts = np.array([len(members) for members in clusters])
 
     # isolated tail samples are their own KDE fixed points; a basin floor
     # keeps only fixed points that actually attract part of the sample
@@ -180,11 +186,15 @@ def mean_shift_modes(samples, target, cfg=None):
     )
 
 
-def scenario_weights(modes, model):
-    """w_m proportional to the joint density at each lifted mode; sums to 1."""
-    if len(modes) == 0:
+def scenario_weights(log_densities):
+    """Plausibility weights w_m proportional to exp(log f_m); they sum to 1.
+
+    `log_densities` holds log f at each scenario, up to a shared constant;
+    scenarios of zero density get weight 0.
+    """
+    logf = np.asarray(log_densities, dtype=float)
+    if logf.size == 0:
         raise DegenerateWeightError("empty mode set")
-    logf = np.array([joint_logdensity(model, loc) for loc in modes.locations])
     if not np.any(np.isfinite(logf)):
         raise DegenerateWeightError("all scenario densities are zero")
     w = np.exp(logf - np.max(logf[np.isfinite(logf)]))

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .conditional import FullSpace, ShiftedSimplex, pin_row_sums
+from .conditional import ShiftedSimplex, pin_row_sums
 from .errors import (
     ConfigurationError,
     EfficiencyError,
@@ -16,7 +16,7 @@ from .errors import (
     SampleSizeError,
     StabilityError,
 )
-from .models import rng_from_seed, split_seeds
+from .models import rng_from_seed
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +97,10 @@ class ChainDiagnostics:
 
 
 def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
-    chain = np.atleast_2d(np.asarray(chain, dtype=float))
-    if chain.shape[0] < chain.shape[1]:
-        chain = chain.T
+    """Autocorrelations and ESS of a chain whose rows are states."""
+    chain = np.asarray(chain, dtype=float)
+    if chain.ndim == 1:
+        chain = chain[:, None]
     n, d = chain.shape
     if n < 100:
         raise SampleSizeError("need a chain of length >= 100")
@@ -128,25 +129,25 @@ def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
 # Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
+def _burn_in(cfg):
+    """The configured burn-in, by default 10% of the chain length."""
+    b = cfg.burn_in if cfg.burn_in is not None else cfg.chain_length // 10
+    if not 0 <= b < cfg.chain_length:
+        raise ConfigurationError("need chain length > burn-in >= 0")
+    return b
+
+
 @dataclass
 class MHConfig:
     chain_length: int
     proposal: str = "random_walk"     # or "independent_uniform_simplex"
-    step_scale: np.ndarray = None     # random-walk scale; pilot-tuned if None
     burn_in: int = None               # default 10% of chain length
     thinning: int = 1
     seed: int = 0
     initial: np.ndarray = None
 
-    def resolved_burn_in(self):
-        b = self.burn_in if self.burn_in is not None else self.chain_length // 10
-        if not 0 <= b < self.chain_length:
-            raise ConfigurationError("need chain length > burn-in >= 0")
-        return b
-
 
 def _pilot_sample(target, seed, n=200):
-    from .samplers import SlabConfig  # self-import keeps signature local
     cfg = SlabConfig(n=n, standardize=False, max_attempts=50_000_000)
     x, _ = slab_sample(target.model, target.K, cfg, seed)
     return x[:, : target.d_prime]
@@ -173,27 +174,25 @@ def mh_chain(target, cfg):
         raise ConfigurationError(f"unknown proposal: {cfg.proposal!r}")
 
     x = cfg.initial
-    scale = cfg.step_scale
-    if x is None or (cfg.proposal == "random_walk" and scale is None):
+    random_walk = cfg.proposal == "random_walk"
+    if x is None or random_walk:
         pilot = _pilot_sample(target, rng)
         if x is None:
             x = pilot[0]
-        if cfg.proposal == "random_walk" and scale is None:
+        if random_walk:
             scale = 2.4 / math.sqrt(d) * pilot.std(axis=0, ddof=1)
+            if np.any(scale <= 0):
+                raise ConfigurationError("pilot sample gives a zero random-walk step scale")
     x = np.asarray(x, dtype=float).ravel()
-    if scale is not None:
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), (d,)).copy()
-        if np.any(scale <= 0):
-            raise ConfigurationError("step scales must be positive")
     lx = target.log_density(x)
     if not np.isfinite(lx):
         raise FeasibilityError("initial point has zero target density")
 
-    burn = cfg.resolved_burn_in()
+    burn = _burn_in(cfg)
     states = np.empty((cfg.chain_length, d))
     accepted = 0
     for i in range(cfg.chain_length):
-        if cfg.proposal == "random_walk":
+        if random_walk:
             y = x + scale * rng.standard_normal(d)
         else:
             y = _uniform_simplex_draw(target.support, rng)
@@ -216,7 +215,7 @@ def mh_chain(target, cfg):
 class Polytope:
     """Coalition bounds lambda'(x', K - 1'x') <= r(lambda), projected to R^{d-1}."""
 
-    def __init__(self, constraints, K, d, check_feasible=True):
+    def __init__(self, constraints, K, d):
         self.K = float(K)
         self.d = int(d)
         self.constraints = []
@@ -240,7 +239,7 @@ class Polytope:
             bounds.append(b)
         self.A = np.array(normals, dtype=float).reshape(len(normals), d - 1)
         self.b = np.array(bounds, dtype=float)
-        if check_feasible and len(self.constraints):
+        if len(self.constraints):
             self.interior_point()
 
     def contains(self, xp, slack=1e-10):
@@ -282,16 +281,13 @@ class HMCConfig:
     seed: int = 0
     initial: np.ndarray = None
     mass: np.ndarray = None       # diagonal mass; identity default
-    max_reflections: int = 32
-
-    def resolved_burn_in(self):
-        b = self.burn_in if self.burn_in is not None else self.chain_length // 10
-        if not 0 <= b < self.chain_length:
-            raise ConfigurationError("need chain length > burn-in >= 0")
-        return b
 
 
-def _advance_with_reflection(x, p, dt, A, b, max_reflections):
+# wall hits allowed in one leapfrog drift before the step counts as divergent
+MAX_REFLECTIONS = 32
+
+
+def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
     """Straight-line drift with specular reflection at the first crossing."""
     if A.shape[0] == 0:
         return x + dt * p, p, True
@@ -352,6 +348,8 @@ def hmc_reflect_chain(target, polytope, cfg):
                 polytope.contains(pilot) if polytope is not None else np.ones(len(pilot), bool))]
             x0 = inside[0] if len(inside) else (
                 polytope.interior_point() if polytope is not None else pilot[0])
+    if steps < 1:
+        raise ConfigurationError("HMC needs at least one leapfrog step")
     x = np.asarray(x0, dtype=float).ravel()
     if polytope is not None and not polytope.contains(x)[0]:
         raise FeasibilityError("no feasible interior starting point")
@@ -360,7 +358,7 @@ def hmc_reflect_chain(target, polytope, cfg):
         raise FeasibilityError("starting point has zero target density")
 
     mass = np.ones(d) if cfg.mass is None else np.asarray(cfg.mass, dtype=float)
-    burn = cfg.resolved_burn_in()
+    burn = _burn_in(cfg)
     states = np.empty((cfg.chain_length, d))
     accepted = 0
     divergent = 0
@@ -371,21 +369,24 @@ def hmc_reflect_chain(target, polytope, cfg):
         pq = p - 0.5 * eps * (-target.grad_log_density(q))
         ok = True
         for step in range(steps):
-            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, A, b,
-                                                 cfg.max_reflections)
+            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
             pq = pq * mass
             if not ok or not np.all(np.isfinite(q)):
                 ok = False
                 break
-            grad = -target.grad_log_density(q) if target.log_density(q) > -np.inf else None
+            lq = target.log_density(q)
+            grad = -target.grad_log_density(q) if lq > -np.inf else None
             if grad is None or not np.all(np.isfinite(grad)):
                 ok = False
                 break
-            pq = pq - (eps if step < steps - 1 else 0.5 * eps) * grad
-        if ok:
-            lq = target.log_density(q)
-            h1 = -lq + 0.5 * float(pq @ (pq / mass))
+            # the energy at the full-step momentum; stopping at the first
+            # step past the bound keeps a diverging trajectory from overflowing
+            p_full = pq - 0.5 * eps * grad
+            h1 = -lq + 0.5 * float(p_full @ (p_full / mass))
             ok = np.isfinite(h1) and (h1 - h0) < 1000.0
+            if not ok:
+                break
+            pq = pq - eps * grad if step < steps - 1 else p_full
         if not ok:
             divergent += 1
         elif np.log(rng.uniform()) < h0 - h1:

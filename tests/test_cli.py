@@ -12,6 +12,7 @@ from alloc_lab.cli import (
     ingest_csv,
     load_config,
     main,
+    run_experiment,
     run_pipeline,
     validate_config,
 )
@@ -310,3 +311,13 @@ def test_shipped_configs_check():
     for name in ("m1.cfg", "m2.cfg", "m3.cfg", "m4.cfg", "core_t5.cfg",
                  "empirical.cfg"):
         assert main(["check", os.path.join(root, name)]) == 0, name
+
+
+@pytest.mark.parametrize("name", ["empirical", pytest.param("m4", marks=pytest.mark.slow)])
+def test_shipped_config_reproduces_table(tmp_path, name):
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    run_experiment(os.path.join(root, f"{name}.cfg"), output=str(tmp_path))
+    with open(os.path.join(root, f"out_{name}", "table.csv"), "rb") as fh:
+        shipped = fh.read()
+    with open(tmp_path / "table.csv", "rb") as fh:
+        assert fh.read() == shipped

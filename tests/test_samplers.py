@@ -127,6 +127,9 @@ def test_diagnostics_short_chain():
     from alloc_lab.errors import SampleSizeError
     with pytest.raises(SampleSizeError):
         chain_diagnostics(np.zeros((50, 2)))
+    # rows are states: two states of 200 coordinates are not a long chain
+    with pytest.raises(SampleSizeError):
+        chain_diagnostics(np.zeros((2, 200)))
 
 
 # ---------------------------------------------------------------------------
