@@ -29,8 +29,8 @@ class Allocation:
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
-        if abs(self.a.sum() - self.K) > 1e-9:
-            raise ParameterError("allocation does not sum to K within 1e-9")
+        if abs(self.a.sum() - self.K) > 1e-9 * max(1.0, abs(self.K)):
+            raise ParameterError("allocation does not sum to K within 1e-9 * max(1, |K|)")
 
 
 def euler_allocation(samples, K, ess=None):

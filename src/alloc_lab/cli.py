@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -66,11 +67,26 @@ def validate_config(doc):
         raise ConfigurationError("capital.rule 'fixed' needs key K")
     if cap["rule"] == "var" and "p" not in cap:
         raise ConfigurationError("capital.rule 'var' needs key p")
+    if cap["rule"] == "fixed" and not (isinstance(cap["K"], (int, float))
+                                       and math.isfinite(cap["K"])):
+        raise ConfigurationError(f"capital.K must be a finite number, got {cap['K']!r}")
     sampler = doc.get("sampler", {})
-    if sampler.get("method", "slab") not in ("slab", "mh", "hmc"):
+    method = sampler.get("method", "slab")
+    if method not in ("slab", "mh", "hmc"):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
+    if method == "slab":
+        _slab_config(sampler)
     if int(doc.get("replications", 1)) < 1:
         raise ConfigurationError("replications must be >= 1")
+
+
+def _slab_config(sampler):
+    """The SlabConfig of a config's `sampler` mapping; raises on a bad n or delta."""
+    return SlabConfig(
+        n=sampler.get("n", 500),
+        delta=sampler.get("delta"),
+        standardize=bool(sampler.get("standardize", True)),
+    )
 
 
 def build_model(doc, base_dir="."):
@@ -108,12 +124,7 @@ def _run_replication(model, K, doc, polytope, seed):
     method = sampler.get("method", "slab")
     info = {}
     if method == "slab":
-        cfg = SlabConfig(
-            n=int(sampler.get("n", 500)),
-            delta=sampler.get("delta"),
-            standardize=bool(sampler.get("standardize", True)),
-        )
-        samples, frac = slab_sample(model, K, cfg, seed)
+        samples, frac = slab_sample(model, K, _slab_config(sampler), seed)
         info["slab_acceptance"] = frac
         return samples, info
     target = ConditionalTarget(model, K)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, special
@@ -25,6 +26,22 @@ from .errors import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# cells of the grid on which MarginCopula tabulates its latent-to-loss map
+SCREEN_CELLS = 4096
+
+
+def _require_positive(owner, **params):
+    """Raise ParameterError naming the first parameter that is not finite and > 0."""
+    for name, value in params.items():
+        if not (value > 0) or not math.isfinite(value):
+            raise ParameterError(f"{owner} requires a finite {name} > 0, got {value!r}")
+
+
+def _require_finite(owner, **params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{owner} requires a finite {name}, got {value!r}")
 
 
 def rng_from_seed(seed):
@@ -81,8 +98,7 @@ class Lomax(Margin):
     lower: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ParameterError("Lomax requires shape > 0 and scale > 0")
+        _require_positive("Lomax", shape=self.shape, scale=self.scale)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,8 +135,7 @@ class ParetoI(Margin):
     minimum: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.minimum <= 0:
-            raise ParameterError("ParetoI requires shape > 0 and minimum > 0")
+        _require_positive("ParetoI", shape=self.shape, minimum=self.minimum)
 
     @property
     def lower(self):
@@ -161,8 +176,8 @@ class StudentT(Margin):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.df <= 0 or self.scale <= 0:
-            raise ParameterError("StudentT requires df > 0 and scale > 0")
+        _require_positive("StudentT", df=self.df, scale=self.scale)
+        _require_finite("StudentT", loc=self.loc)
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -192,8 +207,8 @@ class Normal(Margin):
     stdev: float = 1.0
 
     def __post_init__(self):
-        if self.stdev <= 0:
-            raise ParameterError("Normal requires stdev > 0")
+        _require_positive("Normal", stdev=self.stdev)
+        _require_finite("Normal", mean=self.mean)
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.stdev
@@ -323,8 +338,7 @@ class StudentTGen(DensityGenerator):
     nu: float
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ParameterError("StudentTGen requires nu > 0")
+        _require_positive("StudentTGen", nu=self.nu)
 
     def log_g(self, t, d):
         # the factor 2 restores the full squared Mahalanobis distance,
@@ -430,10 +444,26 @@ class EllipticalModel:
 # ---------------------------------------------------------------------------
 
 class CopulaModel:
+    """A copula sampled as a latent draw mapped to the unit cube coordinatewise.
+
+    `to_uniform` is nondecreasing in each coordinate.  A copula whose latent
+    law has a fixed range also defines `grid_nodes(cells)`, the latent values
+    of cells + 1 nodes from the bottom to the top of that range, and
+    `grid_position(latent, cells, out)`, which writes the position of each
+    latent value on that grid in units of cells (NaN where it has none);
+    MarginCopula tabulates its latent-to-loss map on those nodes.
+    """
+
     has_density = True
 
-    def sample(self, n, rng):
+    def latent(self, n, rng):
         raise NotImplementedError
+
+    def to_uniform(self, latent):
+        return latent
+
+    def sample(self, n, rng):
+        return self.to_uniform(self.latent(n, rng))
 
     def logdensity(self, u):
         raise NotImplementedError
@@ -443,8 +473,16 @@ class IndependenceCopula(CopulaModel):
     def __init__(self, d):
         self.d = d
 
-    def sample(self, n, rng):
+    def latent(self, n, rng):
         return rng.uniform(size=(n, self.d))
+
+    @staticmethod
+    def grid_nodes(cells):
+        return np.linspace(0.0, 1.0, cells + 1)
+
+    @staticmethod
+    def grid_position(u, cells, out):
+        return np.multiply(u, cells, out=out)
 
     def logdensity(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -456,8 +494,7 @@ class IndependenceCopula(CopulaModel):
 
 class StudentTCopula(CopulaModel):
     def __init__(self, nu, corr):
-        if nu <= 0:
-            raise ParameterError("t copula requires nu > 0")
+        _require_positive("StudentTCopula", nu=nu)
         corr = np.asarray(corr, dtype=float)
         if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
             raise ParameterError("correlation matrix must have unit diagonal")
@@ -465,11 +502,31 @@ class StudentTCopula(CopulaModel):
         self.corr = DispersionMatrix(corr)
         self.d = self.corr.d
 
-    def sample(self, n, rng):
+    def latent(self, n, rng):
         z = rng.standard_normal((n, self.d)) @ self.corr.chol.T
         w = rng.chisquare(self.nu, size=n) / self.nu
-        t = z / np.sqrt(w)[:, None]
+        return z / np.sqrt(w)[:, None]
+
+    def to_uniform(self, t):
         return special.stdtr(self.nu, t)
+
+    # the grid is uniform in v = t / (1 + |t|), which maps [-inf, inf] onto [-1, 1]
+
+    @staticmethod
+    def grid_nodes(cells):
+        v = np.linspace(-1.0, 1.0, cells + 1)
+        with np.errstate(divide="ignore"):
+            return v / (1.0 - np.abs(v))
+
+    @staticmethod
+    def grid_position(t, cells, out):
+        np.abs(t, out=out)
+        out += 1.0
+        with np.errstate(invalid="ignore"):      # t = +-inf gives NaN
+            np.divide(t, out, out=out)
+        out += 1.0
+        out *= 0.5 * cells
+        return out
 
     def _z(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -520,7 +577,7 @@ class EmpiricalResampleCopula(CopulaModel):
         self.pseudo_obs = pseudo_obs
         self.d = pseudo_obs.shape[1]
 
-    def sample(self, n, rng):
+    def latent(self, n, rng):
         idx = rng.integers(0, self.pseudo_obs.shape[0], size=n)
         return self.pseudo_obs[idx]
 
@@ -626,13 +683,65 @@ class MarginCopula(JointModel):
     def sample(self, n, seed):
         if n < 1:
             raise SampleSizeError("need n >= 1")
-        rng = rng_from_seed(seed)
-        u = self.copula.sample(n, rng)
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
+        return self.transform(self.copula.latent(n, rng_from_seed(seed)))
+
+    def transform(self, latent):
+        """Losses of latent draws: to the unit cube, clipped, through the margins.
+
+        Elementwise and nondecreasing in each coordinate, so a row's losses
+        do not depend on the rows drawn with it.
+        """
+        u = np.clip(self.copula.to_uniform(latent), 1e-15, 1.0 - 1e-15)
         x = np.empty_like(u)
         for j, m in enumerate(self.margins):
             x[:, j] = m.quantile(u[:, j])
         return x
+
+    @cached_property
+    def screen_tables(self):
+        """Per-coordinate (lower, upper) tables of `transform` on the copula's
+        grid, each (d, SCREEN_CELLS + 1), or None when the copula has no grid
+        or a tabulated loss is not finite.
+
+        Entry i bounds the losses of every latent value whose computed grid
+        position p has floor(p) = i: the nodes i - 1 and i + 2 enclose it
+        despite rounding in p.  The relative pad of 1e-9 covers rounding in
+        the quantile functions and a row sum taken in another order.
+        """
+        grid_nodes = getattr(self.copula, "grid_nodes", None)
+        if grid_nodes is None:
+            return None
+        nodes = grid_nodes(SCREEN_CELLS)
+        table = self.transform(np.repeat(nodes[:, None], self.d, axis=1)).T
+        if not np.all(np.isfinite(table)):
+            return None
+        pad = 1e-9 * np.abs(table)
+        i = np.arange(SCREEN_CELLS + 1)
+        lower = (table - pad)[:, np.maximum(i - 1, 0)]
+        upper = (table + pad)[:, np.minimum(i + 2, SCREEN_CELLS)]
+        return np.ascontiguousarray(lower), np.ascontiguousarray(upper)
+
+    def row_sum_bounds(self, latent):
+        """(lo, hi) with lo <= s <= hi for the floating-point row sums
+        s = transform(latent).sum(axis=1); needs `screen_tables`.
+
+        Works one coordinate at a time in reused buffers, so a batch costs
+        a few vectors of its length beyond the latent draws.
+        """
+        lower, upper = self.screen_tables
+        n = latent.shape[0]
+        lo, hi = np.zeros(n), np.zeros(n)
+        pos, vals = np.empty(n), np.empty(n)
+        idx = np.empty(n, dtype=np.intp)
+        for j in range(self.d):
+            self.copula.grid_position(latent[:, j], SCREEN_CELLS, pos)
+            # fmin/fmax send a NaN position to the top node for hi and the
+            # bottom node for lo; the cast truncates, i.e. floors
+            np.fmin(pos, SCREEN_CELLS, out=idx, casting="unsafe")
+            hi += np.take(upper[j], idx, out=vals)
+            np.fmax(pos, 0.0, out=idx, casting="unsafe")
+            lo += np.take(lower[j], idx, out=vals)
+        return lo, hi
 
 
 def _fd_grad(f, x, rel=1e-6):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,17 @@ class SlabConfig:
     standardize: bool = True
     max_attempts: int = 200_000_000
 
+    def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ConfigurationError(f"sampler.n must be an integer >= 1, got {self.n!r}")
+        if self.delta is not None and not (
+                isinstance(self.delta, numbers.Real) and self.delta > 0
+                and math.isfinite(self.delta)):
+            raise ConfigurationError(
+                f"sampler.delta must be a finite number > 0, got {self.delta!r}")
+
     def resolved_delta(self, K):
         if self.delta is not None:
-            if self.delta <= 0:
-                raise ParameterError("slab half-width must be positive")
             return float(self.delta)
         return 0.01 * abs(K) if K != 0 else 0.01
 
@@ -41,11 +49,15 @@ class SlabConfig:
 def slab_sample(model, K, cfg, seed):
     """Unconditional draws with |1'x - K| < delta, optionally standardized.
 
-    Returns (samples, acceptance_fraction).
+    Returns (samples, acceptance_fraction).  A model with `screen_tables`
+    draws latent rows and maps to losses only the rows whose bounded row sum
+    can reach the slab; the generator is used as by `model.sample` and the
+    kept rows are the same.
     """
     K = float(K)
     delta = cfg.resolved_delta(K)
     rng = rng_from_seed(seed)
+    screened = getattr(model, "screen_tables", None) is not None
     kept = []
     drawn = 0
     hits = 0
@@ -58,7 +70,16 @@ def slab_sample(model, K, cfg, seed):
                 hit_rate=rate,
             )
         m = min(batch, cfg.max_attempts - drawn)
-        x = model.sample(m, rng)
+        if screened:
+            t = model.copula.latent(m, rng)
+            lo, hi = model.row_sum_bounds(t)
+            lo -= K
+            hi -= K
+            # |s - K| < delta fails for s >= lo when lo - K >= delta, and
+            # for s <= hi when hi - K <= -delta
+            x = model.transform(t[(lo < delta) & (hi > -delta)])
+        else:
+            x = model.sample(m, rng)
         s = x.sum(axis=1)
         sel = np.abs(s - K) < delta
         drawn += m

@@ -70,6 +70,19 @@ def test_allocation_sum_validation():
         Allocation(np.array([1.0, 1.0]), 3.0, "Euler")
 
 
+def test_allocation_sum_tolerance_is_relative_to_K():
+    # at K = 1e7 one ulp of a coordinate is 1.9e-9, so an absolute 1e-9
+    # rejected correctly projected Euler allocations
+    K = 1e7
+    rng = rng_from_seed(3)
+    for _ in range(20):
+        x = rng.dirichlet(np.ones(3), size=200) * K * rng.uniform(0.5, 2.0)
+        a = euler_allocation(x, K)
+        assert abs(a.a.sum() - K) <= 1e-9 * K
+    with pytest.raises(ParameterError):
+        Allocation(np.array([K / 2, K / 2 + 1.0]), K, "Euler")
+
+
 def test_euler_matches_conditional_mean(t5_joint):
     # for elliptical laws the Euler allocation is the conditional mean
     K = 8.046

@@ -95,6 +95,28 @@ def test_validate_config_rules():
         validate_config(dict(base, replications=0))
 
 
+@pytest.mark.parametrize("sampler,key", [
+    ({"n": 0}, "sampler.n"),
+    ({"n": -5}, "sampler.n"),
+    ({"n": "many"}, "sampler.n"),
+    ({"delta": float("nan")}, "sampler.delta"),
+    ({"delta": float("inf")}, "sampler.delta"),
+    ({"delta": 0.0}, "sampler.delta"),
+    ({"delta": "wide"}, "sampler.delta"),
+])
+def test_validate_config_rejects_bad_slab(sampler, key):
+    base = {"model": {}, "capital": {"rule": "fixed", "K": 1.0}}
+    with pytest.raises(ConfigurationError, match=key):
+        validate_config(dict(base, sampler=sampler))
+    # the same keys mean nothing to a chain sampler
+    validate_config(dict(base, sampler=dict(sampler, method="hmc")))
+
+
+def test_validate_config_rejects_non_finite_K():
+    with pytest.raises(ConfigurationError, match="capital.K"):
+        validate_config({"model": {}, "capital": {"rule": "fixed", "K": float("nan")}})
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -313,7 +335,8 @@ def test_shipped_configs_check():
         assert main(["check", os.path.join(root, name)]) == 0, name
 
 
-@pytest.mark.parametrize("name", ["empirical", pytest.param("m4", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", ["empirical"] + [
+    pytest.param(m, marks=pytest.mark.slow) for m in ("m1", "m2", "m3", "m4")])
 def test_shipped_config_reproduces_table(tmp_path, name):
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     run_experiment(os.path.join(root, f"{name}.cfg"), output=str(tmp_path))

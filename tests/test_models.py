@@ -73,6 +73,29 @@ def test_margin_parameter_validation():
         al.Lomax(2.0, 1.0).quantile(1.0)
 
 
+NON_FINITE = [
+    (al.Lomax, (math.nan, 5.0), "shape"),
+    (al.Lomax, (2.0, math.inf), "scale"),
+    (al.ParetoI, (math.nan, 1.0), "shape"),
+    (al.ParetoI, (2.0, math.inf), "minimum"),
+    (al.StudentT, (math.nan,), "df"),
+    (al.StudentT, (4.0, math.inf), "loc"),
+    (al.StudentT, (4.0, 0.0, math.nan), "scale"),
+    (al.Normal, (0.0, math.nan), "stdev"),
+    (al.Normal, (-math.inf, 1.0), "mean"),
+    (al.StudentTGen, (math.inf,), "nu"),
+    (al.StudentTCopula, (math.nan, np.eye(2)), "nu"),
+    (al.StudentTCopula, (math.inf, np.eye(2)), "nu"),
+]
+
+
+@pytest.mark.parametrize("cls,args,name", NON_FINITE,
+                         ids=[f"{c.__name__}.{n}-{a[0]}" for c, a, n in NON_FINITE])
+def test_non_finite_parameters_rejected(cls, args, name):
+    with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+        cls(*args)
+
+
 def test_empirical_margin():
     emp = al.Empirical([3.0, 1.0, 2.0, 4.0])
     assert emp.lower == 1.0 and emp.upper == 4.0

@@ -25,7 +25,7 @@ from alloc_lab.samplers import (
     slab_sample,
 )
 
-from conftest import REF_CORR, normal_joint
+from conftest import LOMAX_CORRS, REF_CORR, lomax_t_model, normal_joint
 
 
 RHO_HALF = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -89,6 +89,82 @@ def test_slab_deterministic(t5_joint):
     a, _ = slab_sample(t5_joint, 8.0, SlabConfig(n=200), seed=9)
     b, _ = slab_sample(t5_joint, 8.0, SlabConfig(n=200), seed=9)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kwargs,key", [
+    ({"n": 0}, "sampler.n"),
+    ({"n": -5}, "sampler.n"),
+    ({"n": 1, "delta": float("nan")}, "sampler.delta"),
+    ({"n": 1, "delta": float("inf")}, "sampler.delta"),
+    ({"n": 1, "delta": 0.0}, "sampler.delta"),
+    ({"n": 1, "delta": -1.0}, "sampler.delta"),
+])
+def test_slab_config_rejects_bad_size_or_width(kwargs, key):
+    with pytest.raises(ConfigurationError, match=key):
+        SlabConfig(**kwargs)
+
+
+def _exact_slab(model, K, cfg, seed):
+    """The slab loop without the pre-screen: whole `model.sample` batches,
+    filtered by |s - K| < delta, with the batch sizes of `slab_sample`."""
+    delta = cfg.resolved_delta(K)
+    rng = al.models.rng_from_seed(seed)
+    kept, drawn, hits = [], 0, 0
+    batch = max(4 * cfg.n, 20_000)
+    while hits < cfg.n:
+        x = model.sample(batch, rng)
+        sel = np.abs(x.sum(axis=1) - K) < delta
+        drawn += batch
+        kept.append(x[sel])
+        hits += int(sel.sum())
+        if hits == 0:
+            batch = min(batch * 4, 2_000_000)
+        else:
+            batch = int(min(max(1.2 * (cfg.n - hits) / max(hits / drawn, 1e-12),
+                                20_000), 4_000_000))
+    return np.concatenate(kept, axis=0)[: cfg.n], hits / drawn
+
+
+SCREENED_CASES = [
+    (name, lambda c=corr: lomax_t_model(c), 40.0, 1.0, 100)
+    for name, corr in LOMAX_CORRS.items()
+] + [
+    ("independence", lambda: al.MarginCopula(
+        [al.ParetoI(3.0, 1.0), al.StudentT(4.0, 2.0, 1.0), al.Normal(3.0, 1.0)],
+        al.IndependenceCopula(3)), 9.0, 0.1, 200),
+    # thinner than a grid cell near K, so the screen keeps rows that miss
+    ("m1-thin", lambda: lomax_t_model(LOMAX_CORRS["m1"]), 40.0, 0.01, 20),
+]
+
+
+@pytest.mark.parametrize("name,make,K,delta,n", SCREENED_CASES,
+                         ids=[c[0] for c in SCREENED_CASES])
+def test_slab_screen_keeps_the_exact_rows(name, make, K, delta, n):
+    model = make()
+    assert model.screen_tables is not None
+    # the budget makes a screen that drops hits fail in seconds
+    cfg = SlabConfig(n=n, delta=delta, standardize=False, max_attempts=20_000_000)
+    for seed in (0, 1):
+        x, rate = slab_sample(model, K, cfg, seed)
+        ref, ref_rate = _exact_slab(model, K, cfg, seed)
+        assert np.array_equal(x, ref)
+        assert rate == ref_rate
+
+
+def test_slab_screen_bounds_hold(m4_model):
+    t = m4_model.copula.latent(200_000, np.random.default_rng(11))
+    t[:3] = [[np.inf, -np.inf, 0.0], [1e300, -1e300, 2.0], [-1e-300, 0.0, 5e-324]]
+    lo, hi = m4_model.row_sum_bounds(t)
+    s = m4_model.transform(t).sum(axis=1)
+    assert np.all(lo <= s) and np.all(s <= hi)
+    # a latent value with no grid position takes the whole grid
+    lower, upper = m4_model.screen_tables
+    lo_nan, hi_nan = m4_model.row_sum_bounds(np.full((1, 3), np.nan))
+    assert lo_nan[0] == lower[0, 0] + lower[1, 0] + lower[2, 0]
+    assert hi_nan[0] == upper[0, -1] + upper[1, -1] + upper[2, -1]
+    # the bounds are a few cells wide: their median width is below the
+    # shipped delta of 1
+    assert np.median(hi - lo) < 1.0
 
 
 # ---------------------------------------------------------------------------
