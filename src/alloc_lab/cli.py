@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -76,8 +77,11 @@ def validate_config(doc):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
     if method == "slab":
         _slab_config(sampler)
-    if int(doc.get("replications", 1)) < 1:
-        raise ConfigurationError("replications must be >= 1")
+    if method == "hmc":
+        _hmc_config(sampler)
+    reps = doc.get("replications", 1)
+    if not (isinstance(reps, numbers.Integral) and reps >= 1):
+        raise ConfigurationError(f"replications must be an integer >= 1, got {reps!r}")
 
 
 def _slab_config(sampler):
@@ -86,6 +90,18 @@ def _slab_config(sampler):
         n=sampler.get("n", 500),
         delta=sampler.get("delta"),
         standardize=bool(sampler.get("standardize", True)),
+    )
+
+
+def _hmc_config(sampler, seed=0):
+    """The HMCConfig of a config's `sampler` mapping; raises on a bad mass."""
+    return HMCConfig(
+        chain_length=int(sampler.get("chain_length", 10000)),
+        epsilon=sampler.get("epsilon"),
+        steps=sampler.get("steps"),
+        burn_in=sampler.get("burn_in"),
+        seed=seed,
+        mass=sampler.get("mass"),
     )
 
 
@@ -138,20 +154,7 @@ def _run_replication(model, K, doc, polytope, seed):
         )
         chain, diag = mh_chain(target, cfg)
     else:
-        mass = sampler.get("mass")
-        if mass == "pilot":
-            pilot, _ = slab_sample(
-                model, K, SlabConfig(n=200, standardize=False), seed)
-            mass = 1.0 / pilot[:, :-1].var(axis=0, ddof=1)
-        cfg = HMCConfig(
-            chain_length=int(sampler.get("chain_length", 10000)),
-            epsilon=sampler.get("epsilon"),
-            steps=sampler.get("steps"),
-            burn_in=sampler.get("burn_in"),
-            seed=seed,
-            mass=mass,
-        )
-        chain, diag = hmc_reflect_chain(target, polytope, cfg)
+        chain, diag = hmc_reflect_chain(target, polytope, _hmc_config(sampler, seed))
     info["chain"] = {
         "acceptance": diag.acceptance_rate,
         "lag1": [float(v) for v in diag.lag1],
@@ -423,28 +426,19 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
 
 def export_plotdata(report_dir, kind, out_path):
     """Re-shape saved artifacts into plain plot-ready CSV."""
+    names = {"scatter": "samples.csv", "levelset": "levelset.csv", "chain-trace": "chain.csv"}
+    if kind not in names:
+        raise NotAvailableError(f"unknown export kind: {kind!r}")
+    src = os.path.join(report_dir, names[kind])
+    if not os.path.exists(src):
+        raise NotAvailableError(f"report has no {names[kind]} artifact")
     if kind == "scatter":
-        src = os.path.join(report_dir, "samples.csv")
-        if not os.path.exists(src):
-            raise NotAvailableError("report has no saved samples")
         data, _ = ingest_csv(src)
         _write_csv(out_path, ["x1", "x2"], [list(map(float, r[:2])) for r in data])
-    elif kind == "levelset":
-        src = os.path.join(report_dir, "levelset.csv")
-        if not os.path.exists(src):
-            raise NotAvailableError("report has no level-set artifact")
-        with open(src, "r", encoding="utf-8") as fh, \
-                open(out_path, "w", encoding="utf-8") as out:
-            out.write(fh.read())
-    elif kind == "chain-trace":
-        src = os.path.join(report_dir, "chain.csv")
-        if not os.path.exists(src):
-            raise NotAvailableError("report has no chain artifact")
-        with open(src, "r", encoding="utf-8") as fh, \
-                open(out_path, "w", encoding="utf-8") as out:
-            out.write(fh.read())
     else:
-        raise NotAvailableError(f"unknown export kind: {kind!r}")
+        with open(src, "r", encoding="utf-8") as fh, \
+                open(out_path, "w", encoding="utf-8") as out:
+            out.write(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -55,25 +55,12 @@ def superlevel_components(density, level, grid):
     """
     if grid.dim not in (1, 2):
         raise ParameterError("connectivity check supports 1 or 2 dimensions")
-    vals = _evaluate(density, grid)
-    mask = vals >= level
+    mask = _evaluate(density, grid) >= level
     axes = grid.axes()
-    boxes = []
-    if grid.dim == 1:
-        padded = np.concatenate([[False], mask, [False]])
-        starts = np.flatnonzero(padded[1:] & ~padded[:-1])
-        ends = np.flatnonzero(~padded[1:] & padded[:-1])
-        for s, e in zip(starts, ends):
-            boxes.append((np.array([axes[0][s]]), np.array([axes[0][e - 1]])))
-        return len(boxes), boxes
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, count = ndimage.label(mask, structure=structure)
-    for c in range(1, count + 1):
-        ii, jj = np.nonzero(labels == c)
-        boxes.append((
-            np.array([axes[0][ii.min()], axes[1][jj.min()]]),
-            np.array([axes[0][ii.max()], axes[1][jj.max()]]),
-        ))
+    labels, count = ndimage.label(mask, structure=ndimage.generate_binary_structure(grid.dim, 1))
+    boxes = [(np.array([ax[sl.start] for ax, sl in zip(axes, box)]),
+              np.array([ax[sl.stop - 1] for ax, sl in zip(axes, box)]))
+             for box in ndimage.find_objects(labels)]
     return count, boxes
 
 

@@ -19,6 +19,7 @@ from scipy import integrate, special
 
 from .errors import (
     BoundaryError,
+    ConfigurationError,
     DataError,
     ParameterError,
     SampleSizeError,
@@ -669,16 +670,13 @@ class MarginCopula(JointModel):
         lows = self.margin_lowers()
         if np.any(x <= lows):
             raise BoundaryError("gradient requested on or outside the support boundary")
-        if isinstance(self.copula, (StudentTCopula, IndependenceCopula)):
-            try:
-                u = np.array([m.cdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-                pdf = np.array([m.pdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-                dlm = np.array([m.dlogpdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-                dc = self.copula.dlogdensity_du(u[None, :])[0]
-                return dc * pdf + dlm
-            except (NotImplementedError, DataError):
-                pass
-        return _fd_grad(self.logpdf, x)
+        if not self.has_density:
+            raise DataError("model has no density")
+        u = np.array([m.cdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
+        pdf = np.array([m.pdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
+        dlm = np.array([m.dlogpdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
+        dc = self.copula.dlogdensity_du(u[None, :])[0]
+        return dc * pdf + dlm
 
     def sample(self, n, seed):
         if n < 1:
@@ -804,26 +802,36 @@ def model_from_config(doc):
 
     Documented keys: kind, margins[], copula, nu, corr, mu, sigma.
     """
+    def key(name):
+        if name not in doc:
+            raise ConfigurationError(f"missing key: model.{name}")
+        return doc[name]
+
     kind = doc.get("kind")
     if kind == "elliptical":
         gen_name = doc.get("generator", "normal")
         if gen_name == "normal":
             gen = NormalGen()
         elif gen_name == "student_t":
-            gen = StudentTGen(float(doc["nu"]))
+            gen = StudentTGen(float(key("nu")))
         else:
             raise ParameterError(f"unknown generator: {gen_name!r}")
-        return EllipticalJoint(EllipticalModel(np.asarray(doc["mu"], dtype=float),
-                                               DispersionMatrix(doc["sigma"]), gen))
+        return EllipticalJoint(EllipticalModel(np.asarray(key("mu"), dtype=float),
+                                               DispersionMatrix(key("sigma")), gen))
     if kind == "margin_copula":
-        margins = [margin_from_config(m) for m in doc["margins"]]
+        margins = []
+        for i, m in enumerate(key("margins")):
+            try:
+                margins.append(margin_from_config(m))
+            except KeyError as exc:
+                raise ConfigurationError(f"missing key: model.margins[{i}].{exc.args[0]}") from None
         cop_name = doc.get("copula", "independence")
         if cop_name == "student_t":
-            copula = StudentTCopula(float(doc["nu"]), np.asarray(doc["corr"], dtype=float))
+            copula = StudentTCopula(float(key("nu")), np.asarray(key("corr"), dtype=float))
         elif cop_name == "independence":
             copula = IndependenceCopula(len(margins))
         elif cop_name == "empirical":
-            copula = EmpiricalResampleCopula(np.asarray(doc["pseudo_obs"], dtype=float))
+            copula = EmpiricalResampleCopula(np.asarray(key("pseudo_obs"), dtype=float))
         else:
             raise ParameterError(f"unknown copula: {cop_name!r}")
         return MarginCopula(margins, copula)

@@ -265,8 +265,6 @@ class Polytope:
 
     def contains(self, xp, slack=1e-10):
         xp = np.atleast_2d(np.asarray(xp, dtype=float))
-        if self.A.shape[0] == 0:
-            return np.ones(xp.shape[0], dtype=bool)
         return np.all(xp @ self.A.T <= self.b + slack, axis=1)
 
     def interior_point(self):
@@ -301,7 +299,15 @@ class HMCConfig:
     burn_in: int = None
     seed: int = 0
     initial: np.ndarray = None
-    mass: np.ndarray = None       # diagonal mass; identity default
+    # diagonal mass: None (identity), entries > 0, or "pilot" (inverse pilot variances)
+    mass: object = None
+
+    def __post_init__(self):
+        m = self.mass.tolist() if isinstance(self.mass, np.ndarray) else self.mass
+        if not (m is None or m == "pilot" or isinstance(m, (list, tuple)) and m
+                and all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in m)):
+            raise ConfigurationError(
+                f"sampler.mass must be null, 'pilot' or a list of finite numbers > 0, got {self.mass!r}")
 
 
 # wall hits allowed in one leapfrog drift before the step counts as divergent
@@ -310,8 +316,6 @@ MAX_REFLECTIONS = 32
 
 def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
     """Straight-line drift with specular reflection at the first crossing."""
-    if A.shape[0] == 0:
-        return x + dt * p, p, True
     for _ in range(max_reflections + 1):
         ap = A @ p
         moving_out = ap > 0.0
@@ -330,55 +334,60 @@ def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
     return x, p, False
 
 
-def _tune_hmc(target, polytope, rng):
-    pilot = _pilot_sample(target, rng)
-    if polytope is not None and polytope.A.shape[0]:
-        inside = polytope.contains(pilot)
-        if np.any(inside):
-            pilot = pilot[inside]
-        else:
-            pilot = polytope.interior_point()[None, :] + 1e-3 * rng.standard_normal((32, target.d_prime))
-    if pilot.shape[0] >= 2:
-        diff = pilot[:, None, :] - pilot[None, :, :]
+def _tune_hmc(polytope, pilot, rng):
+    """(epsilon, steps, start) from the pilot points inside the polytope, or
+    from 32 points jittered around its interior point when none is inside."""
+    inside = polytope.contains(pilot)
+    if np.any(inside):
+        pts = pilot[inside]
+        start = pts[0]
+    else:
+        center = polytope.interior_point()
+        pts = center[None, :] + 1e-3 * rng.standard_normal((32, pilot.shape[1]))
+        inside = polytope.contains(pts)
+        start = pts[inside][0] if np.any(inside) else center
+    if pts.shape[0] >= 2:
+        diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         nn = float(np.mean(dist.min(axis=1)))
-        sd = float(pilot.std(axis=0, ddof=1).max())
+        sd = float(pts.std(axis=0, ddof=1).max())
     else:
         nn, sd = 0.1, 1.0
     eps = max(0.4 * nn, 1e-4)
     steps = max(int(round(1.5 * sd / eps)), 1)
-    return eps, steps, pilot
+    return eps, steps, start
 
 
 def hmc_reflect_chain(target, polytope, cfg):
-    """Leapfrog HMC with billiards reflection on the polytope boundary."""
+    """Leapfrog HMC with billiards reflection on the polytope boundary (None: no
+    walls); settings left None and mass "pilot" come from one pilot slab sample."""
     rng = rng_from_seed(cfg.seed)
     d = target.d_prime
-    A = polytope.A if polytope is not None else np.zeros((0, d))
-    b = polytope.b if polytope is not None else np.zeros(0)
+    if polytope is None:
+        polytope = Polytope([], target.K, d + 1)
 
-    eps, steps = cfg.epsilon, cfg.steps
-    x0 = cfg.initial
-    if eps is None or steps is None or x0 is None:
-        t_eps, t_steps, pilot = _tune_hmc(target, polytope, rng)
+    eps, steps, x0, mass = cfg.epsilon, cfg.steps, cfg.initial, cfg.mass
+    if eps is None or steps is None or x0 is None or isinstance(mass, str):
+        pilot = _pilot_sample(target, rng)
+        if isinstance(mass, str):
+            mass = 1.0 / pilot.var(axis=0, ddof=1)
+        t_eps, t_steps, start = _tune_hmc(polytope, pilot, rng)
         eps = eps if eps is not None else t_eps
         steps = steps if steps is not None else t_steps
-        if x0 is None:
-            inside = pilot[np.atleast_1d(
-                polytope.contains(pilot) if polytope is not None else np.ones(len(pilot), bool))]
-            x0 = inside[0] if len(inside) else (
-                polytope.interior_point() if polytope is not None else pilot[0])
+        x0 = x0 if x0 is not None else start
     if steps < 1:
         raise ConfigurationError("HMC needs at least one leapfrog step")
+    mass = np.ones(d) if mass is None else np.asarray(mass, dtype=float)
+    if mass.shape != (d,):
+        raise ConfigurationError(f"sampler.mass needs {d} entries, got {mass.size}")
     x = np.asarray(x0, dtype=float).ravel()
-    if polytope is not None and not polytope.contains(x)[0]:
+    if not polytope.contains(x)[0]:
         raise FeasibilityError("no feasible interior starting point")
     lx = target.log_density(x)
     if not np.isfinite(lx):
         raise FeasibilityError("starting point has zero target density")
 
-    mass = np.ones(d) if cfg.mass is None else np.asarray(cfg.mass, dtype=float)
     burn = _burn_in(cfg)
     states = np.empty((cfg.chain_length, d))
     accepted = 0
@@ -390,7 +399,7 @@ def hmc_reflect_chain(target, polytope, cfg):
         pq = p - 0.5 * eps * (-target.grad_log_density(q))
         ok = True
         for step in range(steps):
-            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
+            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, polytope.A, polytope.b)
             pq = pq * mass
             if not ok or not np.all(np.isfinite(q)):
                 ok = False

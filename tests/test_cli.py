@@ -112,6 +112,27 @@ def test_validate_config_rejects_bad_slab(sampler, key):
     validate_config(dict(base, sampler=dict(sampler, method="hmc")))
 
 
+LOMAX_PAIR = {
+    "kind": "margin_copula",
+    "margins": [{"type": "lomax", "shape": 3.0, "scale": 1.0},
+                {"type": "lomax", "shape": 3.0}],
+}
+
+
+@pytest.mark.parametrize("override,key", [
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0]}}, "model.sigma"),
+    ({"model": LOMAX_PAIR}, "model.margins[1].scale"),
+    ({"replications": "many"}, "replications"),
+    ({"replications": 2.5}, "replications"),
+    ({"sampler": {"method": "hmc", "mass": "diag"}}, "sampler.mass"),
+    ({"sampler": {"method": "hmc", "mass": [1.0, -1.0]}}, "sampler.mass"),
+])
+def test_check_names_the_bad_key(tmp_path, capsys, override, key):
+    path, _ = small_config(tmp_path, **override)
+    assert main(["check", path]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_validate_config_rejects_non_finite_K():
     with pytest.raises(ConfigurationError, match="capital.K"):
         validate_config({"model": {}, "capital": {"rule": "fixed", "K": float("nan")}})
@@ -163,6 +184,27 @@ def test_pipeline_hmc_with_pilot_mass(tmp_path):
                           replications=1)
     report, _, _ = run_pipeline(doc)
     assert report["chain"]["acceptance"] > 0.6
+
+
+def test_pipeline_hmc_draws_one_pilot_per_replication(tmp_path, monkeypatch):
+    import alloc_lab.cli
+    import alloc_lab.samplers
+    calls = []
+    original = alloc_lab.samplers.slab_sample
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (alloc_lab.cli, alloc_lab.samplers):
+        monkeypatch.setattr(module, "slab_sample", counted)
+    _, doc = small_config(tmp_path,
+                          sampler={"method": "hmc", "chain_length": 200,
+                                   "epsilon": 0.2, "steps": 4, "mass": "pilot"},
+                          modes={"enabled": False})
+    report, _, _ = run_pipeline(doc)
+    assert report["replications"] == 2
+    assert len(calls) == 2
 
 
 def test_pipeline_levelset_artifact(tmp_path):
@@ -268,6 +310,30 @@ def test_export_plotdata_errors(tmp_path):
         export_plotdata(str(tmp_path), "wireframe", str(tmp_path / "o.csv"))
 
 
+def test_export_plotdata_all_kinds(tmp_path):
+    path, _ = small_config(tmp_path, replications=1,
+                           sampler={"method": "hmc", "chain_length": 200,
+                                    "epsilon": 0.2, "steps": 4},
+                           modes={"enabled": False},
+                           levelset={"ranges": [[-2.0, 6.0], [-2.0, 6.0]],
+                                     "level": 0.0004, "resolution": 20})
+    res = tmp_path / "res"
+    assert main(["run", path, "--output", str(res)]) == 0
+    for kind, name in (("levelset", "levelset.csv"), ("chain-trace", "chain.csv")):
+        out = tmp_path / f"{kind}.csv"
+        export_plotdata(str(res), kind, str(out))
+        # a text-mode copy: the csv module's CRLF line ends become LF
+        assert out.read_bytes() == (res / name).read_bytes().replace(b"\r\n", b"\n")
+    export_plotdata(str(res), "scatter", str(tmp_path / "scatter.csv"))
+    rows = (tmp_path / "scatter.csv").read_text().splitlines()
+    assert rows[0] == "x1,x2" and len(rows) == 181
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for kind in ("levelset", "chain-trace"):
+        with pytest.raises(NotAvailableError):
+            export_plotdata(str(empty), kind, str(tmp_path / "o.csv"))
+
+
 # ---------------------------------------------------------------------------
 # Entry point end to end
 # ---------------------------------------------------------------------------
@@ -336,11 +402,13 @@ def test_shipped_configs_check():
 
 
 @pytest.mark.parametrize("name", ["empirical"] + [
-    pytest.param(m, marks=pytest.mark.slow) for m in ("m1", "m2", "m3", "m4")])
+    pytest.param(m, marks=pytest.mark.slow) for m in ("m1", "m2", "m3", "m4", "core_t5")])
 def test_shipped_config_reproduces_table(tmp_path, name):
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     run_experiment(os.path.join(root, f"{name}.cfg"), output=str(tmp_path))
-    with open(os.path.join(root, f"out_{name}", "table.csv"), "rb") as fh:
-        shipped = fh.read()
-    with open(tmp_path / "table.csv", "rb") as fh:
-        assert fh.read() == shipped
+    # a chain reproduces draw for draw; slab samples do not (see README)
+    for fname in ("table.csv", "chain.csv") if name == "core_t5" else ("table.csv",):
+        with open(os.path.join(root, f"out_{name}", fname), "rb") as fh:
+            shipped = fh.read()
+        with open(tmp_path / fname, "rb") as fh:
+            assert fh.read() == shipped, fname

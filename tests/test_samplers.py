@@ -19,6 +19,7 @@ from alloc_lab.samplers import (
     Polytope,
     SlabConfig,
     _advance_with_reflection,
+    _pilot_sample,
     chain_diagnostics,
     hmc_reflect_chain,
     mh_chain,
@@ -376,6 +377,31 @@ def test_hmc_deterministic(pair_target):
     a, _ = hmc_reflect_chain(pair_target, None, cfg)
     b, _ = hmc_reflect_chain(pair_target, None, cfg)
     np.testing.assert_array_equal(a, b)
+
+
+def test_hmc_pilot_mass_is_inverse_pilot_variance(t5_joint):
+    # the pilot that tunes the step size and start also sets the mass
+    K = 8.046
+    target = al.conditional_target(t5_joint, K)
+    poly = Polytope([((1, 0, 0), 4.0), ((0, 1, 0), 4.0), ((0, 0, 1), 4.0)], K, 3)
+    pilot = _pilot_sample(target, np.random.default_rng(18))
+    mass = 1.0 / pilot.var(axis=0, ddof=1)
+    chains = [hmc_reflect_chain(target, poly, HMCConfig(chain_length=300, seed=18, mass=m))[0]
+              for m in ("pilot", mass)]
+    np.testing.assert_array_equal(chains[0], chains[1])
+
+
+@pytest.mark.parametrize("mass", ["diag", "", [], [1.0, 0.0], [1.0, float("nan")],
+                                  [[1.0, 2.0]], True])
+def test_hmc_config_rejects_bad_mass(mass):
+    with pytest.raises(ConfigurationError, match="sampler.mass"):
+        HMCConfig(chain_length=200, mass=mass)
+
+
+def test_hmc_mass_needs_one_entry_per_coordinate(pair_target):
+    cfg = HMCConfig(chain_length=200, epsilon=0.2, steps=4, mass=[1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="sampler.mass"):
+        hmc_reflect_chain(pair_target, None, cfg)
 
 
 def test_hmc_infeasible_start(t5_joint):
