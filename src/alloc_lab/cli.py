@@ -75,10 +75,7 @@ def validate_config(doc):
     method = sampler.get("method", "slab")
     if method not in ("slab", "mh", "hmc"):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
-    if method == "slab":
-        _slab_config(sampler)
-    if method == "hmc":
-        _hmc_config(sampler)
+    _SAMPLER_CONFIGS[method](sampler)
     reps = doc.get("replications", 1)
     if not (isinstance(reps, numbers.Integral) and reps >= 1):
         raise ConfigurationError(f"replications must be an integer >= 1, got {reps!r}")
@@ -93,16 +90,30 @@ def _slab_config(sampler):
     )
 
 
+def _mh_config(sampler, seed=0):
+    """The MHConfig of a config's `sampler` mapping; raises on a bad key."""
+    return MHConfig(
+        chain_length=sampler.get("chain_length", 10000),
+        proposal=sampler.get("proposal", "random_walk"),
+        burn_in=sampler.get("burn_in"),
+        thinning=sampler.get("thinning", 1),
+        seed=seed,
+    )
+
+
 def _hmc_config(sampler, seed=0):
-    """The HMCConfig of a config's `sampler` mapping; raises on a bad mass."""
+    """The HMCConfig of a config's `sampler` mapping; raises on a bad key."""
     return HMCConfig(
-        chain_length=int(sampler.get("chain_length", 10000)),
+        chain_length=sampler.get("chain_length", 10000),
         epsilon=sampler.get("epsilon"),
         steps=sampler.get("steps"),
         burn_in=sampler.get("burn_in"),
         seed=seed,
         mass=sampler.get("mass"),
     )
+
+
+_SAMPLER_CONFIGS = {"slab": _slab_config, "mh": _mh_config, "hmc": _hmc_config}
 
 
 def build_model(doc, base_dir="."):
@@ -145,14 +156,7 @@ def _run_replication(model, K, doc, polytope, seed):
         return samples, info
     target = ConditionalTarget(model, K)
     if method == "mh":
-        cfg = MHConfig(
-            chain_length=int(sampler.get("chain_length", 10000)),
-            proposal=sampler.get("proposal", "random_walk"),
-            burn_in=sampler.get("burn_in"),
-            thinning=int(sampler.get("thinning", 1)),
-            seed=seed,
-        )
-        chain, diag = mh_chain(target, cfg)
+        chain, diag = mh_chain(target, _mh_config(sampler, seed))
     else:
         chain, diag = hmc_reflect_chain(target, polytope, _hmc_config(sampler, seed))
     info["chain"] = {

@@ -36,7 +36,7 @@ def pin_row_sums(x, K):
     rounding are left at the closest representable sum.
     """
     x = np.array(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ParameterError("could not pin row sums to K in floating point")
     for _ in range(4):
         s = x.sum(axis=1)
@@ -137,9 +137,17 @@ class ConditionalTarget:
         return float(out[0]) if single else out
 
     def grad_log_density(self, xp):
+        """Gradient at one point; None outside the support."""
+        return self.log_density_and_grad(xp)[1]
+
+    def log_density_and_grad(self, xp):
+        """(log density, gradient) at one point from one lift; (-inf, None)
+        outside the support or where the density is 0."""
         xp = np.asarray(xp, dtype=float).ravel()
-        g = self.model.grad_logpdf(self.lift(xp))
-        return g[: self.d_prime] - g[self.d_prime]
+        if not self.support.contains(xp)[0]:
+            return -np.inf, None
+        lp, g = self.model.logpdf_and_grad(self.lift(xp))
+        return (lp, g[: self.d_prime] - g[self.d_prime]) if lp > -np.inf else (lp, None)
 
 
 def conditional_target(model, K):

@@ -422,12 +422,18 @@ class EllipticalModel:
         return float(out[0]) if single else out
 
     def grad_logpdf(self, x):
+        return self.logpdf_and_grad(x)[1]
+
+    def logpdf_and_grad(self, x):
+        """(logpdf, grad_logpdf) at one point, sharing the solve w = L^{-1}(x - mu)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ShapeError("gradient is evaluated at a single point")
-        z = x - self.mu
-        t = 0.5 * float(self.dispersion.maha_sq(z)[0])
-        return float(self.generator.dlog_g(t, self.d)) * self.dispersion.solve(z)
+        w = np.linalg.solve(self.dispersion.chol, (x - self.mu)[:, None])
+        t = 0.5 * np.sum(w * w, axis=0)
+        logp = self.log_c - 0.5 * self.dispersion.log_det + self.generator.log_g(t, self.d)
+        dlog_g = float(self.generator.dlog_g(t[0], self.d))
+        return float(logp[0]), dlog_g * np.linalg.solve(self.dispersion.chol.T, w[:, 0])
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.d)) @ self.dispersion.chol.T
@@ -600,6 +606,11 @@ class JointModel:
     def grad_logpdf(self, x):
         raise NotImplementedError
 
+    def logpdf_and_grad(self, x):
+        """(logpdf, grad_logpdf) at one point; no gradient where the density is 0."""
+        lp = self.logpdf(x)
+        return lp, (self.grad_logpdf(x) if lp > -np.inf else None)
+
     def sample(self, n, seed):
         raise NotImplementedError
 
@@ -617,6 +628,9 @@ class EllipticalJoint(JointModel):
 
     def grad_logpdf(self, x):
         return self.elliptical.grad_logpdf(x)
+
+    def logpdf_and_grad(self, x):
+        return self.elliptical.logpdf_and_grad(x)
 
     def sample(self, n, seed):
         if n < 1:

@@ -20,6 +20,14 @@ from .errors import (
 from .models import rng_from_seed
 
 
+def _int_at_least(v, low):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+
+def _finite_positive(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 # ---------------------------------------------------------------------------
 # Slab Monte Carlo
 # ---------------------------------------------------------------------------
@@ -32,11 +40,9 @@ class SlabConfig:
     max_attempts: int = 200_000_000
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not _int_at_least(self.n, 1):
             raise ConfigurationError(f"sampler.n must be an integer >= 1, got {self.n!r}")
-        if self.delta is not None and not (
-                isinstance(self.delta, numbers.Real) and self.delta > 0
-                and math.isfinite(self.delta)):
+        if not (self.delta is None or _finite_positive(self.delta)):
             raise ConfigurationError(
                 f"sampler.delta must be a finite number > 0, got {self.delta!r}")
 
@@ -151,11 +157,15 @@ def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
 # ---------------------------------------------------------------------------
 
 def _burn_in(cfg):
-    """The configured burn-in, by default 10% of the chain length."""
-    b = cfg.burn_in if cfg.burn_in is not None else cfg.chain_length // 10
-    if not 0 <= b < cfg.chain_length:
-        raise ConfigurationError("need chain length > burn-in >= 0")
-    return b
+    """The configured burn-in, by default 10% of the chain length; refuses a
+    bad chain length or burn-in, naming the key."""
+    n, b = cfg.chain_length, cfg.burn_in
+    if not _int_at_least(n, 1):
+        raise ConfigurationError(f"sampler.chain_length must be an integer >= 1, got {n!r}")
+    if not (b is None or _int_at_least(b, 0) and b < n):
+        raise ConfigurationError(
+            f"sampler.burn_in must be null or an integer in [0, chain_length), got {b!r}")
+    return n // 10 if b is None else b
 
 
 @dataclass
@@ -166,6 +176,15 @@ class MHConfig:
     thinning: int = 1
     seed: int = 0
     initial: np.ndarray = None
+
+    def __post_init__(self):
+        _burn_in(self)
+        if self.proposal not in ("random_walk", "independent_uniform_simplex"):
+            raise ConfigurationError("sampler.proposal must be 'random_walk' or "
+                                     f"'independent_uniform_simplex', got {self.proposal!r}")
+        if not _int_at_least(self.thinning, 1):
+            raise ConfigurationError(
+                f"sampler.thinning must be an integer >= 1, got {self.thinning!r}")
 
 
 def _pilot_sample(target, seed, n=200):
@@ -191,8 +210,6 @@ def mh_chain(target, cfg):
         raise ConfigurationError(
             "independent uniform-simplex proposal needs a bounded simplex support"
         )
-    if cfg.proposal not in ("random_walk", "independent_uniform_simplex"):
-        raise ConfigurationError(f"unknown proposal: {cfg.proposal!r}")
 
     x = cfg.initial
     random_walk = cfg.proposal == "random_walk"
@@ -303,9 +320,16 @@ class HMCConfig:
     mass: object = None
 
     def __post_init__(self):
+        _burn_in(self)
+        if not (self.steps is None or _int_at_least(self.steps, 1)):
+            raise ConfigurationError(
+                f"sampler.steps must be null or an integer >= 1, got {self.steps!r}")
+        if not (self.epsilon is None or _finite_positive(self.epsilon)):
+            raise ConfigurationError(
+                f"sampler.epsilon must be null or a finite number > 0, got {self.epsilon!r}")
         m = self.mass.tolist() if isinstance(self.mass, np.ndarray) else self.mass
         if not (m is None or m == "pilot" or isinstance(m, (list, tuple)) and m
-                and all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in m)):
+                and all(_finite_positive(v) for v in m)):
             raise ConfigurationError(
                 f"sampler.mass must be null, 'pilot' or a list of finite numbers > 0, got {self.mass!r}")
 
@@ -319,11 +343,11 @@ def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
     for _ in range(max_reflections + 1):
         ap = A @ p
         moving_out = ap > 0.0
-        if not np.any(moving_out):
+        if not moving_out.any():
             return x + dt * p, p, True
-        resid = b - A @ x
-        with np.errstate(divide="ignore"):
-            tau = np.where(moving_out, np.maximum(resid, 0.0) / np.where(moving_out, ap, 1.0), np.inf)
+        # time to each wall the velocity moves towards (ap > 0 there)
+        tau = np.full(ap.shape, np.inf)
+        np.divide(np.maximum(b - A @ x, 0.0), ap, out=tau, where=moving_out)
         i = int(np.argmin(tau))
         if tau[i] >= dt:
             return x + dt * p, p, True
@@ -376,51 +400,50 @@ def hmc_reflect_chain(target, polytope, cfg):
         eps = eps if eps is not None else t_eps
         steps = steps if steps is not None else t_steps
         x0 = x0 if x0 is not None else start
-    if steps < 1:
-        raise ConfigurationError("HMC needs at least one leapfrog step")
     mass = np.ones(d) if mass is None else np.asarray(mass, dtype=float)
     if mass.shape != (d,):
         raise ConfigurationError(f"sampler.mass needs {d} entries, got {mass.size}")
     x = np.asarray(x0, dtype=float).ravel()
     if not polytope.contains(x)[0]:
         raise FeasibilityError("no feasible interior starting point")
-    lx = target.log_density(x)
+    # one evaluation per leapfrog step: an accepted state's gradient is reused
+    lx, gx = target.log_density_and_grad(x)
     if not np.isfinite(lx):
         raise FeasibilityError("starting point has zero target density")
 
     burn = _burn_in(cfg)
+    A, b, sqrt_mass = polytope.A, polytope.b, np.sqrt(mass)
     states = np.empty((cfg.chain_length, d))
     accepted = 0
     divergent = 0
     for i in range(cfg.chain_length):
-        p = rng.standard_normal(d) * np.sqrt(mass)
+        p = rng.standard_normal(d) * sqrt_mass
         h0 = -lx + 0.5 * float(p @ (p / mass))
-        q = x.copy()
-        pq = p - 0.5 * eps * (-target.grad_log_density(q))
+        q, pq = x, p - 0.5 * eps * (-gx)
         ok = True
         for step in range(steps):
-            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, polytope.A, polytope.b)
+            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
             pq = pq * mass
-            if not ok or not np.all(np.isfinite(q)):
+            if not ok or not np.isfinite(q).all():
                 ok = False
                 break
-            lq = target.log_density(q)
-            grad = -target.grad_log_density(q) if lq > -np.inf else None
-            if grad is None or not np.all(np.isfinite(grad)):
+            lq, gq = target.log_density_and_grad(q)
+            if gq is None or not np.isfinite(gq).all():
                 ok = False
                 break
+            grad = -gq
             # the energy at the full-step momentum; stopping at the first
             # step past the bound keeps a diverging trajectory from overflowing
             p_full = pq - 0.5 * eps * grad
             h1 = -lq + 0.5 * float(p_full @ (p_full / mass))
-            ok = np.isfinite(h1) and (h1 - h0) < 1000.0
+            ok = math.isfinite(h1) and (h1 - h0) < 1000.0
             if not ok:
                 break
             pq = pq - eps * grad if step < steps - 1 else p_full
         if not ok:
             divergent += 1
         elif np.log(rng.uniform()) < h0 - h1:
-            x, lx = q, lq
+            x, lx, gx = q, lq, gq
             accepted += 1
         states[i] = x
         if i == 99 and divergent > 50:

@@ -126,6 +126,14 @@ LOMAX_PAIR = {
     ({"replications": 2.5}, "replications"),
     ({"sampler": {"method": "hmc", "mass": "diag"}}, "sampler.mass"),
     ({"sampler": {"method": "hmc", "mass": [1.0, -1.0]}}, "sampler.mass"),
+    ({"sampler": {"method": "hmc", "chain_length": "long"}}, "sampler.chain_length"),
+    ({"sampler": {"method": "hmc", "steps": "many"}}, "sampler.steps"),
+    ({"sampler": {"method": "hmc", "epsilon": -1}}, "sampler.epsilon"),
+    ({"sampler": {"method": "hmc", "burn_in": 20000}}, "sampler.burn_in"),
+    ({"sampler": {"method": "mh", "chain_length": 0}}, "sampler.chain_length"),
+    ({"sampler": {"method": "mh", "burn_in": -1}}, "sampler.burn_in"),
+    ({"sampler": {"method": "mh", "proposal": "hamiltonian"}}, "sampler.proposal"),
+    ({"sampler": {"method": "mh", "thinning": 2.5}}, "sampler.thinning"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)

@@ -1,5 +1,7 @@
 """Conditioning on {S = K}: targets, elliptical closed forms, constructions."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from alloc_lab.errors import ConditioningError, ParameterError, RangeError
 from alloc_lab.models import _fd_grad
 
 from conftest import REF_CORR, normal_joint
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +85,49 @@ def test_target_gradient_is_reduced(t5_joint):
     xp = np.array([2.5, 2.0])
     fd = _fd_grad(lambda v: t.log_density(v), xp)
     np.testing.assert_allclose(t.grad_log_density(xp), fd, rtol=1e-5)
+
+
+def _separate_evaluation(target, xp):
+    """(log density, gradient) from the batch density and the two-solve
+    gradient formula, each lifting the point on its own."""
+    lp = target.log_density(xp)
+    model = getattr(target.model, "elliptical", None)
+    if model is None:
+        g = target.model.grad_logpdf(target.lift(xp))
+    else:
+        z = target.lift(xp) - model.mu
+        t = 0.5 * float(model.dispersion.maha_sq(z)[0])
+        g = float(model.generator.dlog_g(t, model.d)) * model.dispersion.solve(z)
+    return lp, g[:-1] - g[-1]
+
+
+def test_fused_evaluation_is_bitwise_the_separate_one(m1_model):
+    with open(CONFIG_DIR / "core_t5.cfg", encoding="utf-8") as fh:
+        core_t5 = al.model_from_config(json.load(fh)["model"])
+    rng = np.random.default_rng(20)
+    cases = [
+        (al.ConditionalTarget(core_t5, 8.046), 2.6 + 1.5 * rng.standard_normal((200, 2))),
+        (al.ConditionalTarget(m1_model, 40.0), 40.0 * rng.dirichlet(np.ones(3), size=50)[:, :2]),
+    ]
+    for target, pts in cases:
+        for xp in pts:
+            lp, g = target.log_density_and_grad(xp)
+            lp_ref, g_ref = _separate_evaluation(target, xp)
+            assert lp == lp_ref
+            assert np.array_equal(g, g_ref)
+
+
+def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):
+    target = al.ConditionalTarget(m1_model, 40.0)
+
+    def no_gradient(x):
+        raise AssertionError("gradient evaluated outside the support")
+
+    monkeypatch.setattr(m1_model, "grad_logpdf", no_gradient)
+    monkeypatch.setattr(m1_model, "logpdf_and_grad", no_gradient)
+    assert isinstance(target.support, ShiftedSimplex)
+    for xp in ([-1.0, 2.0], [30.0, 11.0]):
+        assert target.log_density_and_grad(np.array(xp)) == (-np.inf, None)
 
 
 def test_density_at_sum_normal_oracle():

@@ -379,6 +379,29 @@ def test_hmc_deterministic(pair_target):
     np.testing.assert_array_equal(a, b)
 
 
+def test_hmc_makes_one_evaluation_per_leapfrog_step(pair_target, monkeypatch):
+    target_cls = type(pair_target)
+    fused = target_cls.log_density_and_grad
+    calls = []
+
+    def counted(self, xp):
+        calls.append(1)
+        return fused(self, xp)
+
+    def separate(self, xp):
+        raise AssertionError("separate density or gradient call inside the chain")
+
+    monkeypatch.setattr(target_cls, "log_density_and_grad", counted)
+    monkeypatch.setattr(target_cls, "log_density", separate)
+    monkeypatch.setattr(target_cls, "grad_log_density", separate)
+    cfg = HMCConfig(chain_length=300, epsilon=0.15, steps=5, seed=11,
+                    initial=np.array([1.0]))
+    _, diag = hmc_reflect_chain(pair_target, None, cfg)
+    assert diag.acceptance_rate > 0.9
+    # the start, then one per step; a divergent trajectory would stop early
+    assert len(calls) == cfg.chain_length * cfg.steps + 1
+
+
 def test_hmc_pilot_mass_is_inverse_pilot_variance(t5_joint):
     # the pilot that tunes the step size and start also sets the mass
     K = 8.046
@@ -396,6 +419,28 @@ def test_hmc_pilot_mass_is_inverse_pilot_variance(t5_joint):
 def test_hmc_config_rejects_bad_mass(mass):
     with pytest.raises(ConfigurationError, match="sampler.mass"):
         HMCConfig(chain_length=200, mass=mass)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chain_length", "long"), ("chain_length", 0), ("chain_length", 100.0),
+    ("chain_length", True), ("steps", "many"), ("steps", 0), ("steps", 2.5),
+    ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", float("nan")),
+    ("epsilon", float("inf")), ("epsilon", "x"), ("burn_in", 200),
+    ("burn_in", -1), ("burn_in", 1.5),
+])
+def test_hmc_config_rejects_bad_chain_keys(key, value):
+    with pytest.raises(ConfigurationError, match=f"sampler.{key}"):
+        HMCConfig(**{"chain_length": 200, key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chain_length", "long"), ("chain_length", -5), ("burn_in", 200),
+    ("burn_in", "x"), ("proposal", "hamiltonian"), ("proposal", None),
+    ("thinning", 2.5), ("thinning", 0), ("thinning", "2"),
+])
+def test_mh_config_rejects_bad_keys(key, value):
+    with pytest.raises(ConfigurationError, match=f"sampler.{key}"):
+        MHConfig(**{"chain_length": 200, key: value})
 
 
 def test_hmc_mass_needs_one_entry_per_coordinate(pair_target):
