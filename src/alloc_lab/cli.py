@@ -32,6 +32,7 @@ from .errors import (
     NotAvailableError,
 )
 from .models import (
+    _finite_positive,
     empirical_model_from_matrix,
     empirical_var,
     model_from_config,
@@ -76,6 +77,7 @@ def validate_config(doc):
     if method not in ("slab", "mh", "hmc"):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
     _SAMPLER_CONFIGS[method](sampler)
+    _mean_shift_config(doc.get("modes", {}))
     reps = doc.get("replications", 1)
     if not (isinstance(reps, numbers.Integral) and reps >= 1):
         raise ConfigurationError(f"replications must be an integer >= 1, got {reps!r}")
@@ -111,6 +113,19 @@ def _hmc_config(sampler, seed=0):
         seed=seed,
         mass=sampler.get("mass"),
     )
+
+
+def _mean_shift_config(modes):
+    """(MeanShiftConfig, cluster radius or None) of a config's `modes` mapping;
+    raises on a bad tol, max_iter or cluster_radius."""
+    if not isinstance(modes, dict):
+        raise ConfigurationError(f"modes must be a JSON object, got {modes!r}")
+    radius = modes.get("cluster_radius")
+    if not (radius is None or _finite_positive(radius)):
+        raise ConfigurationError(
+            f"modes.cluster_radius must be a finite number > 0, got {radius!r}")
+    cfg = MeanShiftConfig(tol=modes.get("tol", 1e-6), max_iter=modes.get("max_iter", 500))
+    return cfg, radius
 
 
 _SAMPLER_CONFIGS = {"slab": _slab_config, "mh": _mh_config, "hmc": _hmc_config}
@@ -204,11 +219,8 @@ def run_pipeline(doc, base_dir="."):
     rep_info = []
     modesets = []
     modes_doc = doc.get("modes", {})
+    mcfg, radius = _mean_shift_config(modes_doc)
     modes_on = bool(modes_doc.get("enabled", True))
-    mcfg = MeanShiftConfig(
-        tol=float(modes_doc.get("tol", 1e-6)),
-        max_iter=int(modes_doc.get("max_iter", 500)),
-    )
     target = ConditionalTarget(model, K)
     for r in range(R):
         samples, info = _run_replication(model, K, doc, polytope, seeds[r + 1])
@@ -235,7 +247,8 @@ def run_pipeline(doc, base_dir="."):
 
     clusters = None
     if modes_on and modesets:
-        radius = float(modes_doc.get("cluster_radius", 0.25 * abs(K) if K else 1.0))
+        if radius is None:
+            radius = 0.25 * abs(K) if K else 1.0
         clusters = aggregate_modesets(modesets, radius)
         report["modes"] = {
             "count": len(clusters),
@@ -400,17 +413,17 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
     if len(idx) < 2:
         raise DataError("need at least 2 numeric columns")
     rows = []
-    dropped = 0
+    dropped = []    # indices into raw of the dropped rows
     for rnum, row in enumerate(raw):
         if not row:
-            dropped += 1
+            dropped.append(rnum)
             continue
         try:
             vals = [row[i].strip() for i in idx]
         except IndexError:
             raise DataError(f"row {rnum + 2}: too few columns")
         if any(v == "" for v in vals):
-            dropped += 1
+            dropped.append(rnum)
             continue
         try:
             rows.append([float(v) for v in vals])
@@ -419,13 +432,21 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
     if not rows:
         raise DataError("no usable data rows")
     data = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        rnum = int(bad[0])
+        for skipped in dropped:    # dropped rows before it shift its index
+            if skipped > rnum:
+                break
+            rnum += 1
+        raise DataError(f"row {rnum + 2}: non-finite cell")
     if flip:
         for j in flip:
             data[:, j] = -data[:, j]
     if resample_n:
         rng = np.random.default_rng(seed)
         data = data[rng.integers(0, data.shape[0], size=int(resample_n))]
-    return data, dropped
+    return data, len(dropped)
 
 
 def export_plotdata(report_dir, kind, out_path):

@@ -11,6 +11,7 @@ the resulting f is the textbook t_nu(mu, Sigma) density.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # cells of the grid on which MarginCopula tabulates its latent-to-loss map
 SCREEN_CELLS = 4096
+
+
+def _int_at_least(v, low):
+    """True for an integer (not a bool) >= low."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+
+def _finite_positive(v):
+    """True for a finite real number (not a bool) > 0."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
 
 
 def _require_positive(owner, **params):

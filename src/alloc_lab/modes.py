@@ -7,8 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import pin_row_sums
-from .errors import DegenerateWeightError, ParameterError, SampleSizeError
-from .models import DispersionMatrix
+from .errors import (
+    ConfigurationError,
+    DegenerateWeightError,
+    ParameterError,
+    SampleSizeError,
+)
+from .models import DispersionMatrix, _finite_positive, _int_at_least
+
+KDE_BLOCK_ENTRIES = 2 ** 16    # kernel entries per block of kde_logvalues
 
 
 @dataclass
@@ -19,6 +26,14 @@ class MeanShiftConfig:
     merge_radius: float = None     # default 0.25 * sqrt(lambda_min(H))
     start_cap: int = 2000          # subsample starts beyond this count
     min_basin_fraction: float = 0.01   # drop modes whose basin is tinier
+
+    def __post_init__(self):
+        if not _finite_positive(self.tol):
+            raise ConfigurationError(
+                f"modes.tol must be a finite number > 0, got {self.tol!r}")
+        if not _int_at_least(self.max_iter, 1):
+            raise ConfigurationError(
+                f"modes.max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 def plugin_bandwidth(samples):
@@ -52,17 +67,27 @@ class ModeSet:
 
 
 def kde_logvalues(points, samples, bandwidth):
-    """Log Gaussian-KDE values, used to assert the ascent property."""
+    """Log Gaussian-KDE values at `points`.
+
+    Ranks the mean-shift fixed points of models without a density.  Points
+    go through in blocks of about 2**16 kernel entries, one triangular solve
+    per block; each point's value is bitwise the one of a point-by-point
+    evaluation.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     disp = DispersionMatrix(bandwidth)
     n, d = samples.shape
     out = np.empty(points.shape[0])
-    for i, x in enumerate(points):
-        q = disp.maha_sq(x - samples)
-        m = -0.5 * q
-        mmax = m.max()
-        out[i] = mmax + math.log(np.mean(np.exp(m - mmax)))
+    block = max(1, KDE_BLOCK_ENTRIES // n)
+    for lo in range(0, points.shape[0], block):
+        x = points[lo:lo + block]
+        z = (x[:, None, :] - samples[None, :, :]).reshape(-1, d)
+        m = -0.5 * disp.maha_sq(z).reshape(x.shape[0], n)
+        mmax = m.max(axis=1)
+        means = np.mean(np.exp(m - mmax[:, None]), axis=1)
+        # math.log, not np.log: the array log differs in the last bit
+        out[lo:lo + x.shape[0]] = mmax + [math.log(v) for v in means]
     return out - 0.5 * disp.log_det - d / 2.0 * math.log(2.0 * math.pi)
 
 
@@ -84,19 +109,28 @@ def mean_shift_fixed_points(samples, cfg, starts=None, rng=None):
     active = np.ones(pts.shape[0], dtype=bool)
     li = np.linalg.inv(disp.chol)
     white = samples @ li.T
+    white_sq = np.sum(white ** 2, axis=1)
+    kernel = np.empty((pts.shape[0], n))
     for _ in range(cfg.max_iter):
         if not active.any():
             break
         cur = pts[active]
         wcur = cur @ li.T
-        # pairwise squared Mahalanobis distances through the whitened samples
-        d2 = (
-            np.sum(wcur ** 2, axis=1)[:, None]
-            - 2.0 * wcur @ white.T
-            + np.sum(white ** 2, axis=1)[None, :]
-        )
-        d2 -= d2.min(axis=1, keepdims=True)
-        w = np.exp(-0.5 * d2)
+        # pairwise squared Mahalanobis distances through the whitened
+        # samples, then the Gaussian kernel, in the leading rows of one
+        # buffer.  Same operations in the same order as the temporaries
+        # they replace, so the same bits; that also needs white.T to stay
+        # a view (a contiguous copy takes another BLAS kernel) and every
+        # active row in one product (a BLAS row's bits depend on how many
+        # rows share the call)
+        w = kernel[:cur.shape[0]]
+        np.matmul(wcur, white.T, out=w)
+        w *= 2.0
+        np.subtract(np.sum(wcur ** 2, axis=1)[:, None], w, out=w)
+        w += white_sq
+        w -= w.min(axis=1, keepdims=True)
+        w *= -0.5
+        np.exp(w, out=w)
         new = (w @ samples) / w.sum(axis=1)[:, None]
         step = np.linalg.norm(new - cur, axis=1) / (1.0 + np.linalg.norm(cur, axis=1))
         pts[active] = new

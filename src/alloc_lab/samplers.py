@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +16,7 @@ from .errors import (
     SampleSizeError,
     StabilityError,
 )
-from .models import rng_from_seed
-
-
-def _int_at_least(v, low):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
-
-
-def _finite_positive(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+from .models import _finite_positive, _int_at_least, rng_from_seed
 
 
 # ---------------------------------------------------------------------------

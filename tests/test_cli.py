@@ -134,6 +134,15 @@ LOMAX_PAIR = {
     ({"sampler": {"method": "mh", "burn_in": -1}}, "sampler.burn_in"),
     ({"sampler": {"method": "mh", "proposal": "hamiltonian"}}, "sampler.proposal"),
     ({"sampler": {"method": "mh", "thinning": 2.5}}, "sampler.thinning"),
+    ({"modes": {"tol": "tiny"}}, "modes.tol"),
+    ({"modes": {"tol": -1}}, "modes.tol"),
+    ({"modes": {"tol": True}}, "modes.tol"),
+    ({"modes": {"max_iter": -3}}, "modes.max_iter"),
+    ({"modes": {"max_iter": 2.5}}, "modes.max_iter"),
+    ({"modes": {"max_iter": True}}, "modes.max_iter"),
+    ({"modes": {"cluster_radius": -2}}, "modes.cluster_radius"),
+    ({"modes": {"cluster_radius": float("inf")}}, "modes.cluster_radius"),
+    ({"modes": 5}, "modes must be"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -294,6 +303,10 @@ def test_ingest_csv_dropped_and_errors(tmp_path):
     bad.write_text("a,b\n1.0,zzz\n")
     with pytest.raises(DataError):
         ingest_csv(str(bad))
+    for cell in ("nan", "inf", "-inf"):
+        bad.write_text(f"a,b\n,9.0\n1.0,2.0\n\n3.0,{cell}\n\n")
+        with pytest.raises(DataError, match="row 5: non-finite cell"):
+            ingest_csv(str(bad))
     with pytest.raises(DataError):
         ingest_csv(str(tmp_path / "nope.csv"))
     one = tmp_path / "one.csv"

@@ -1,4 +1,7 @@
 """Kernel mean-shift mode estimation and scenario weights."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +21,7 @@ from alloc_lab.modes import (
     plugin_bandwidth,
     scenario_weights,
 )
-from alloc_lab.models import rng_from_seed
+from alloc_lab.models import DispersionMatrix, rng_from_seed
 from alloc_lab.samplers import SlabConfig, slab_sample
 
 from conftest import normal_joint
@@ -54,6 +57,112 @@ def test_mean_shift_ascent_property():
     assert converged.all()
     up = kde_logvalues(fixed, x, H) - kde_logvalues(starts, x, H)
     assert np.all(up > -1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point references: the buffered and blocked versions must match
+# them bit for bit
+# ---------------------------------------------------------------------------
+
+def loop_kde_logvalues(points, samples, bandwidth):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    disp = DispersionMatrix(bandwidth)
+    n, d = samples.shape
+    out = np.empty(points.shape[0])
+    for i, x in enumerate(points):
+        q = disp.maha_sq(x - samples)
+        m = -0.5 * q
+        mmax = m.max()
+        out[i] = mmax + math.log(np.mean(np.exp(m - mmax)))
+    return out - 0.5 * disp.log_det - d / 2.0 * math.log(2.0 * math.pi)
+
+
+def loop_fixed_points(samples, cfg, starts=None, rng=None):
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    n, d = samples.shape
+    H = cfg.bandwidth if cfg.bandwidth is not None else plugin_bandwidth(samples)
+    disp = DispersionMatrix(H)
+    if starts is None:
+        starts = samples
+        if n > cfg.start_cap:
+            rng = rng or np.random.default_rng(0)
+            starts = samples[rng.choice(n, size=cfg.start_cap, replace=False)]
+    pts = np.array(starts, dtype=float, copy=True)
+    active = np.ones(pts.shape[0], dtype=bool)
+    li = np.linalg.inv(disp.chol)
+    white = samples @ li.T
+    for _ in range(cfg.max_iter):
+        if not active.any():
+            break
+        cur = pts[active]
+        wcur = cur @ li.T
+        d2 = (
+            np.sum(wcur ** 2, axis=1)[:, None]
+            - 2.0 * wcur @ white.T
+            + np.sum(white ** 2, axis=1)[None, :]
+        )
+        d2 -= d2.min(axis=1, keepdims=True)
+        w = np.exp(-0.5 * d2)
+        new = (w @ samples) / w.sum(axis=1)[:, None]
+        step = np.linalg.norm(new - cur, axis=1) / (1.0 + np.linalg.norm(cur, axis=1))
+        pts[active] = new
+        done = step < cfg.tol
+        idx = np.flatnonzero(active)
+        active[idx[done]] = False
+    return pts, ~active, H
+
+
+def _two_clusters(rng):
+    return np.vstack([rng.standard_normal((250, 2)),
+                      0.7 * rng.standard_normal((150, 2)) + [4.0, 1.0]])
+
+
+@pytest.mark.parametrize("data,cfg", [
+    (_two_clusters, MeanShiftConfig()),
+    (lambda rng: rng.standard_normal((500, 3)) @ [[1.0, 0.4, 0.0],
+                                                 [0.0, 1.0, 0.3],
+                                                 [0.0, 0.0, 2.0]],
+     MeanShiftConfig()),
+    (_two_clusters, MeanShiftConfig(start_cap=120)),
+    (_two_clusters, MeanShiftConfig(max_iter=40)),   # 76 of 400 starts converge
+    (lambda rng: np.repeat(_two_clusters(rng)[::3], 3, axis=0), MeanShiftConfig()),
+], ids=["2d-two-clusters", "3d", "subsampled-starts", "unconverged", "duplicates"])
+def test_fixed_points_are_bitwise_the_loop_reference(data, cfg):
+    x = data(rng_from_seed(11))
+    fixed, converged, H = mean_shift_fixed_points(x, cfg)
+    ref_fixed, ref_converged, ref_H = loop_fixed_points(x, cfg)
+    assert np.array_equal(fixed, ref_fixed)
+    assert np.array_equal(converged, ref_converged)
+    assert np.array_equal(H, ref_H)
+    assert np.array_equal(kde_logvalues(fixed, x, H), loop_kde_logvalues(fixed, x, H))
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_kde_blocks_are_bitwise_the_loop_reference(scale):
+    # 65 points a block, 47 blocks.  The wide bandwidth puts kernel means
+    # near 1, where np.log can differ from math.log in the last bit; with
+    # this seed one such difference survives into the returned values
+    rng = rng_from_seed(12)
+    x = rng.standard_normal((1000, 2))
+    H = scale * plugin_bandwidth(x)
+    pts = 1.5 * rng.standard_normal((3000, 2))
+    assert np.array_equal(kde_logvalues(pts, x, H), loop_kde_logvalues(pts, x, H))
+
+
+def test_fixed_points_hold_one_kernel_buffer():
+    # building the kernel from temporaries peaks at about four
+    # starts x samples arrays; one reused buffer keeps the peak near one
+    x = rng_from_seed(13).standard_normal((3000, 2))
+    starts = x[:400].copy()
+    cfg = MeanShiftConfig(bandwidth=0.1 * np.eye(2), max_iter=3)
+    tracemalloc.start()
+    try:
+        mean_shift_fixed_points(x, cfg, starts=starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 400 * 3000 * 8
 
 
 # ---------------------------------------------------------------------------
