@@ -10,9 +10,9 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .models import (
     _finite_positive,
+    _int_at_least,
     empirical_model_from_matrix,
     empirical_var,
     model_from_config,
@@ -62,25 +63,73 @@ def load_config(path):
 def validate_config(doc):
     if "model" not in doc:
         raise ConfigurationError("missing key: model")
-    cap = doc.get("capital")
-    if not isinstance(cap, dict) or cap.get("rule") not in ("fixed", "var"):
+    cap = _section(doc, "capital")
+    if cap.get("rule") not in ("fixed", "var"):
         raise ConfigurationError("capital.rule must be 'fixed' or 'var'")
     if cap["rule"] == "fixed" and "K" not in cap:
         raise ConfigurationError("capital.rule 'fixed' needs key K")
-    if cap["rule"] == "var" and "p" not in cap:
-        raise ConfigurationError("capital.rule 'var' needs key p")
     if cap["rule"] == "fixed" and not (isinstance(cap["K"], (int, float))
                                        and math.isfinite(cap["K"])):
         raise ConfigurationError(f"capital.K must be a finite number, got {cap['K']!r}")
-    sampler = doc.get("sampler", {})
+    if cap["rule"] == "var":
+        _var_params(cap)
+    sampler = _section(doc, "sampler")
     method = sampler.get("method", "slab")
     if method not in ("slab", "mh", "hmc"):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
     _SAMPLER_CONFIGS[method](sampler)
-    _mean_shift_config(doc.get("modes", {}))
+    _mean_shift_config(_section(doc, "modes"))
     reps = doc.get("replications", 1)
-    if not (isinstance(reps, numbers.Integral) and reps >= 1):
+    if not _int_at_least(reps, 1):
         raise ConfigurationError(f"replications must be an integer >= 1, got {reps!r}")
+    _seed(doc)
+    _lambda(_section(doc, "allocate"))
+    levelset = _section(doc, "levelset")
+    if levelset:
+        _level(levelset)
+
+
+def _section(doc, key):
+    """The mapping doc[key], {} when absent or null; refuses any other value."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _checked(section, key, path, default, ok, rule):
+    """section[key], or default when absent; refused with a ConfigurationError
+    naming path unless ok(value)."""
+    value = section.get(key, default)
+    if not ok(value):
+        raise ConfigurationError(f"{path} must be {rule}, got {value!r}")
+    return value
+
+
+def _seed(doc):
+    return _checked(doc, "seed", "seed", 0, lambda v: _int_at_least(v, 0), "an integer >= 0")
+
+
+def _var_params(cap):
+    """(p, n_cal) of the capital rule 'var'."""
+    p = _checked(cap, "p", "capital.p", None,
+                 lambda v: _finite_positive(v) and v < 1, "a number in (0, 1)")
+    n_cal = _checked(cap, "n_cal", "capital.n_cal", 10 ** 6,
+                     lambda v: _int_at_least(v, 1), "an integer >= 1")
+    return p, n_cal
+
+
+def _lambda(allocate):
+    return _checked(allocate, "lambda", "allocate.lambda", 1.0,
+                    lambda v: _finite_positive(v) or (v == 0 and not isinstance(v, bool)),
+                    "a finite number >= 0")
+
+
+def _level(levelset):
+    return _checked(levelset, "level", "levelset.level", None, _finite_positive,
+                    "a finite number > 0")
 
 
 def _slab_config(sampler):
@@ -118,8 +167,6 @@ def _hmc_config(sampler, seed=0):
 def _mean_shift_config(modes):
     """(MeanShiftConfig, cluster radius or None) of a config's `modes` mapping;
     raises on a bad tol, max_iter or cluster_radius."""
-    if not isinstance(modes, dict):
-        raise ConfigurationError(f"modes must be a JSON object, got {modes!r}")
     radius = modes.get("cluster_radius")
     if not (radius is None or _finite_positive(radius)):
         raise ConfigurationError(
@@ -150,9 +197,8 @@ def _resolve_capital(doc, model, seed):
     cap = doc["capital"]
     if cap["rule"] == "fixed":
         return float(cap["K"]), None
-    p = float(cap["p"])
-    n_cal = int(cap.get("n_cal", 10 ** 6))
-    sampler = doc.get("sampler", {})
+    p, n_cal = _var_params(cap)
+    sampler = _section(doc, "sampler")
     if sampler.get("method") == "hmc" and sampler.get("core", False):
         poly, K = core_polytope(model, p, n_cal, seed)
         return float(K), poly
@@ -162,7 +208,7 @@ def _resolve_capital(doc, model, seed):
 
 def _run_replication(model, K, doc, polytope, seed):
     """One replication: conditional samples plus optional chain diagnostics."""
-    sampler = doc.get("sampler", {})
+    sampler = _section(doc, "sampler")
     method = sampler.get("method", "slab")
     info = {}
     if method == "slab":
@@ -210,15 +256,14 @@ def run_pipeline(doc, base_dir="."):
     """Execute the configured experiment; returns (report, artifacts, warnings)."""
     warnings = []
     model = build_model(doc, base_dir)
-    master = int(doc.get("seed", 0))
-    seeds = split_seeds(master, int(doc.get("replications", 1)) + 1)
+    R = doc.get("replications", 1)
+    seeds = split_seeds(_seed(doc), R + 1)
     K, polytope = _resolve_capital(doc, model, seeds[0])
 
-    R = int(doc.get("replications", 1))
     rep_samples = []
     rep_info = []
     modesets = []
-    modes_doc = doc.get("modes", {})
+    modes_doc = _section(doc, "modes")
     mcfg, radius = _mean_shift_config(modes_doc)
     modes_on = bool(modes_doc.get("enabled", True))
     target = ConditionalTarget(model, K)
@@ -243,7 +288,7 @@ def run_pipeline(doc, base_dir="."):
         "replications": R,
         "euler": {"mean": euler_mean.tolist(), "se": np.asarray(euler_se).tolist()},
     }
-    alloc_doc = doc.get("allocate", {})
+    alloc_doc = _section(doc, "allocate")
 
     clusters = None
     if modes_on and modesets:
@@ -285,7 +330,7 @@ def run_pipeline(doc, base_dir="."):
                 logf = [c["log_density"] for c in clusters]
             w = scenario_weights(logf)
             sset = ScenarioSet(locs, w, K=K, sum_tol=1e-6 * max(1.0, abs(K)))
-            lam = float(alloc_doc.get("lambda", 1.0))
+            lam = _lambda(alloc_doc)
             base, adj, total = multimodality_adjust(sset, lam)
             report["adjustment"] = {
                 "baseline": base.a.tolist(),
@@ -305,12 +350,12 @@ def run_pipeline(doc, base_dir="."):
         report["slab"] = {"acceptance_fraction": float(np.mean(slabs))}
 
     artifacts = {"samples": rep_samples[0]}
-    if doc.get("levelset"):
-        ls = doc["levelset"]
+    ls = _section(doc, "levelset")
+    if ls:
         grid = GridSpec([tuple(r) for r in ls["ranges"]],
                         int(ls.get("resolution", 200)))
         mask = superlevel_mask(lambda xp: np.exp(target.log_density(xp)),
-                               float(ls["level"]), grid)
+                               _level(ls), grid)
         artifacts["levelset"] = mask
     report["warnings"] = warnings
     return report, artifacts, warnings
@@ -333,7 +378,7 @@ def write_report(report, artifacts, doc, config_hash, out_dir):
     report = dict(report)
     report["provenance"] = {
         "config_sha256": config_hash,
-        "seed": int(doc.get("seed", 0)),
+        "seed": _seed(doc),
         "versions": {"alloc_lab": __version__, "numpy": np.__version__},
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -361,7 +406,7 @@ def write_report(report, artifacts, doc, config_hash, out_dir):
     if samples is not None:
         _write_csv(os.path.join(out_dir, "samples.csv"), cols,
                    [list(map(float, row)) for row in samples])
-        if doc.get("sampler", {}).get("method") in ("mh", "hmc"):
+        if _section(doc, "sampler").get("method") in ("mh", "hmc"):
             _write_csv(os.path.join(out_dir, "chain.csv"), cols[:-1],
                        [list(map(float, row[:-1])) for row in samples])
     if "levelset" in artifacts:
@@ -388,17 +433,76 @@ def run_experiment(config_path, output=None):
 # ---------------------------------------------------------------------------
 
 def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
-    """Headered CSV -> loss matrix; returns (matrix, dropped-row count)."""
+    """Headered CSV -> loss matrix; returns (matrix, dropped-row count).
+
+    numpy's C reader parses the data rows.  A file it refuses, or one where
+    it returns fewer rows than the body has lines (it skips blank lines,
+    which count as dropped rows here), goes through the exact row loop
+    `_parse_rows` instead, so both give the same matrix, count and errors.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            # readline, not iteration, so that tell() works afterwards
+            reader = csv.reader(iter(fh.readline, ""))
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError("empty file")
-            raw = list(reader)
+            body = fh.tell()
+            lines = _count_lines(fh)
+            idx = _column_indices(header, cols)
+            data = None
+            if lines:
+                fh.seek(body)
+                try:
+                    with warnings.catch_warnings():
+                        # a body of blank lines: loadtxt warns and returns no rows
+                        warnings.simplefilter("ignore", UserWarning)
+                        data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                          usecols=idx, ndmin=2)
+                except (ValueError, OverflowError):    # a cell or a column index it refuses
+                    pass
+            dropped = []    # indices into the body's records of the dropped rows
+            if data is None or data.shape[0] < lines:
+                fh.seek(body)
+                data, dropped = _parse_rows(csv.reader(fh), idx)
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        rnum = int(bad[0])
+        for skipped in dropped:    # dropped rows before it shift its index
+            if skipped > rnum:
+                break
+            rnum += 1
+        raise DataError(f"row {rnum + 2}: non-finite cell")
+    if flip is not None:
+        d = data.shape[1]
+        if not (isinstance(flip, (list, tuple))
+                and all(_int_at_least(j, -d) and j < d for j in flip)):
+            raise DataError(f"flip must be a list of column indices in [{-d}, {d}), got {flip!r}")
+        for j in flip:
+            data[:, j] = -data[:, j]
+    if resample_n is not None and not _int_at_least(resample_n, 0):
+        raise DataError(f"resample_n must be an integer >= 0, got {resample_n!r}")
+    if resample_n:
+        rng = np.random.default_rng(seed)
+        data = data[rng.integers(0, data.shape[0], size=resample_n)]
+    return data, len(dropped)
+
+
+def _count_lines(fh):
+    """Number of lines from the file position to the end, a last line
+    without a line end included."""
+    n, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        n += chunk.count("\n")
+        last = chunk[-1]
+    return n + (last != "\n")
+
+
+def _column_indices(header, cols):
+    """Indices of the selected columns: all of them, or each name or int of cols."""
     if cols is None:
         idx = list(range(len(header)))
     else:
@@ -412,8 +516,15 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
                 raise DataError(f"column {c!r} not in header {header}")
     if len(idx) < 2:
         raise DataError("need at least 2 numeric columns")
+    return idx
+
+
+def _parse_rows(raw, idx):
+    """The exact row loop: (matrix, indices of the dropped records) of the
+    records `raw`; drops blank records and records with an empty selected
+    cell, and names the file row of a short or non-numeric one."""
     rows = []
-    dropped = []    # indices into raw of the dropped rows
+    dropped = []
     for rnum, row in enumerate(raw):
         if not row:
             dropped.append(rnum)
@@ -431,22 +542,7 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
             raise DataError(f"row {rnum + 2}: non-numeric cell")
     if not rows:
         raise DataError("no usable data rows")
-    data = np.array(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        rnum = int(bad[0])
-        for skipped in dropped:    # dropped rows before it shift its index
-            if skipped > rnum:
-                break
-            rnum += 1
-        raise DataError(f"row {rnum + 2}: non-finite cell")
-    if flip:
-        for j in flip:
-            data[:, j] = -data[:, j]
-    if resample_n:
-        rng = np.random.default_rng(seed)
-        data = data[rng.integers(0, data.shape[0], size=int(resample_n))]
-    return data, len(dropped)
+    return np.array(rows, dtype=float), dropped
 
 
 def export_plotdata(report_dir, kind, out_path):

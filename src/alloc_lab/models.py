@@ -582,7 +582,10 @@ class StudentTCopula(CopulaModel):
 
 
 class EmpiricalResampleCopula(CopulaModel):
-    """Resamples rows of a stored pseudo-observation matrix."""
+    """Resamples rows of a stored pseudo-observation matrix.
+
+    Its latent draws are row indices, and `to_uniform` gathers their rows.
+    """
 
     has_density = False
 
@@ -596,8 +599,10 @@ class EmpiricalResampleCopula(CopulaModel):
         self.d = pseudo_obs.shape[1]
 
     def latent(self, n, rng):
-        idx = rng.integers(0, self.pseudo_obs.shape[0], size=n)
-        return self.pseudo_obs[idx]
+        return rng.integers(0, self.pseudo_obs.shape[0], size=n)
+
+    def to_uniform(self, rows):
+        return self.pseudo_obs[rows]
 
     def logdensity(self, u):
         raise DataError("empirical resample copula has no density")
@@ -711,14 +716,37 @@ class MarginCopula(JointModel):
     def transform(self, latent):
         """Losses of latent draws: to the unit cube, clipped, through the margins.
 
-        Elementwise and nondecreasing in each coordinate, so a row's losses
-        do not depend on the rows drawn with it.
+        Works row by row, elementwise and nondecreasing in each coordinate,
+        so a row's losses do not depend on the rows drawn with it.  A row
+        store's draws are row indices, gathered from `stored_rows`.
         """
-        u = np.clip(self.copula.to_uniform(latent), 1e-15, 1.0 - 1e-15)
+        if self.stored_rows is not None:
+            return self.stored_rows[0][latent]
+        return self._quantiles(self.copula.to_uniform(latent))
+
+    def _quantiles(self, u):
+        u = np.clip(u, 1e-15, 1.0 - 1e-15)
         x = np.empty_like(u)
         for j, m in enumerate(self.margins):
             x[:, j] = m.quantile(u[:, j])
         return x
+
+    @cached_property
+    def stored_rows(self):
+        """(losses, row sums) of every row of a row-store copula, mapped
+        once, or None for another copula.  The map and the sum work row by
+        row, so a gathered row and its sum are bitwise those of the row
+        mapped on its own."""
+        if not isinstance(self.copula, EmpiricalResampleCopula):
+            return None
+        x = self._quantiles(self.copula.pseudo_obs)
+        return x, x.sum(axis=1)
+
+    @property
+    def bounds_row_sums(self):
+        """Whether `row_sum_bounds` applies: a row store, or a copula grid
+        with finite tabulated losses."""
+        return self.stored_rows is not None or self.screen_tables is not None
 
     @cached_property
     def screen_tables(self):
@@ -746,11 +774,16 @@ class MarginCopula(JointModel):
 
     def row_sum_bounds(self, latent):
         """(lo, hi) with lo <= s <= hi for the floating-point row sums
-        s = transform(latent).sum(axis=1); needs `screen_tables`.
+        s = transform(latent).sum(axis=1); needs `bounds_row_sums`.
 
-        Works one coordinate at a time in reused buffers, so a batch costs
-        a few vectors of its length beyond the latent draws.
+        A row store gives the stored sums, lo = hi = s, as two arrays
+        because callers shift each in place.  Otherwise the bounds come from `screen_tables`, one coordinate at a
+        time in reused buffers, so a batch costs a few vectors of its length
+        beyond the latent draws.
         """
+        if self.stored_rows is not None:
+            s = self.stored_rows[1][latent]
+            return s, s.copy()
         lower, upper = self.screen_tables
         n = latent.shape[0]
         lo, hi = np.zeros(n), np.zeros(n)

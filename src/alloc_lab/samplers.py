@@ -46,7 +46,7 @@ class SlabConfig:
 def slab_sample(model, K, cfg, seed):
     """Unconditional draws with |1'x - K| < delta, optionally standardized.
 
-    Returns (samples, acceptance_fraction).  A model with `screen_tables`
+    Returns (samples, acceptance_fraction).  A model that `bounds_row_sums`
     draws latent rows and maps to losses only the rows whose bounded row sum
     can reach the slab; the generator is used as by `model.sample` and the
     kept rows are the same.
@@ -54,7 +54,7 @@ def slab_sample(model, K, cfg, seed):
     K = float(K)
     delta = cfg.resolved_delta(K)
     rng = rng_from_seed(seed)
-    screened = getattr(model, "screen_tables", None) is not None
+    screened = getattr(model, "bounds_row_sums", False)
     kept = []
     drawn = 0
     hits = 0

@@ -2,10 +2,12 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from alloc_lab import cli
 from alloc_lab.cli import (
     aggregate_modesets,
     export_plotdata,
@@ -20,6 +22,8 @@ from alloc_lab.errors import ConfigurationError, DataError, NotAvailableError
 from alloc_lab.modes import ModeSet
 
 from conftest import REF_CORR
+
+EXAMPLE_CSV = os.path.join(os.path.dirname(__file__), "..", "configs", "losses_example.csv")
 
 
 def small_config(tmp_path, **overrides):
@@ -143,6 +147,27 @@ LOMAX_PAIR = {
     ({"modes": {"cluster_radius": -2}}, "modes.cluster_radius"),
     ({"modes": {"cluster_radius": float("inf")}}, "modes.cluster_radius"),
     ({"modes": 5}, "modes must be"),
+    ({"sampler": "slab"}, "sampler must be"),
+    ({"allocate": [1]}, "allocate must be"),
+    ({"capital": "var"}, "capital must be"),
+    ({"levelset": 3}, "levelset must be"),
+    ({"capital": {"rule": "var", "p": 1.5}}, "capital.p"),
+    ({"capital": {"rule": "var", "p": 0}}, "capital.p"),
+    ({"capital": {"rule": "var", "p": True}}, "capital.p"),
+    ({"capital": {"rule": "var", "p": 0.9, "n_cal": "x"}}, "capital.n_cal"),
+    ({"capital": {"rule": "var", "p": 0.9, "n_cal": 0}}, "capital.n_cal"),
+    ({"capital": {"rule": "var", "p": 0.9, "n_cal": 1e5}}, "capital.n_cal"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"allocate": {"lambda": -1}}, "allocate.lambda"),
+    ({"allocate": {"lambda": float("nan")}}, "allocate.lambda"),
+    ({"allocate": {"lambda": False}}, "allocate.lambda"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]], "level": "x"}}, "levelset.level"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]], "level": 0}}, "levelset.level"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]]}}, "levelset.level"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "fund"],
+                "flip": [5]}}, "flip"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -317,6 +342,125 @@ def test_ingest_csv_dropped_and_errors(tmp_path):
         ingest_csv(str(path), cols=["a", "zzz"])
 
 
+def _reference_ingest(path, cols=None):
+    """The per-row ingest loop that the C-parsed path must reproduce."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError("empty file")
+            raw = list(reader)
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}")
+    if cols is None:
+        idx = list(range(len(header)))
+    else:
+        idx = []
+        for c in cols:
+            if isinstance(c, int):
+                idx.append(c)
+            elif c in header:
+                idx.append(header.index(c))
+            else:
+                raise DataError(f"column {c!r} not in header {header}")
+    if len(idx) < 2:
+        raise DataError("need at least 2 numeric columns")
+    rows = []
+    dropped = []
+    for rnum, row in enumerate(raw):
+        if not row:
+            dropped.append(rnum)
+            continue
+        try:
+            vals = [row[i].strip() for i in idx]
+        except IndexError:
+            raise DataError(f"row {rnum + 2}: too few columns")
+        if any(v == "" for v in vals):
+            dropped.append(rnum)
+            continue
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError:
+            raise DataError(f"row {rnum + 2}: non-numeric cell")
+    if not rows:
+        raise DataError("no usable data rows")
+    data = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        rnum = int(bad[0])
+        for skipped in dropped:
+            if skipped > rnum:
+                break
+            rnum += 1
+        raise DataError(f"row {rnum + 2}: non-finite cell")
+    return data, len(dropped)
+
+
+# file text, cols, whether the exact row loop runs
+INGEST_CORPUS = {
+    "clean": ("a,b,c\n1,2,3\n4.5,-6e-2,7\n", None, False),
+    "blank-lines": ("a,b\n1,2\n\n3,4\n\n", None, True),
+    "blank-lines-only": ("a,b\n\n\n", None, True),
+    "header-only": ("a,b\n", None, True),
+    "whitespace-line": ("a,b\n1,2\n   \n3,4\n", None, True),
+    "whitespace-line-one-column": ("a,b\n1,2\n \t \n3,4\n", [0, 0], True),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", None, False),
+    "crlf-blank-line": ("a,b\r\n1,2\r\n\r\n3,4\r\n", None, True),
+    "no-final-newline": ("a,b\n1,2\n3,4", None, False),
+    "quoted": ('a,b\n"1.5","2"\n" 3 ",4\n"5"6,7\n', None, False),
+    "quote-after-space": ('a,b\n1, "2"\n', None, True),
+    "quoted-newline": ('a,b\n"1\n",2\n3,4\n', None, True),
+    "spaces": ("a,b\n 1 , 2 \n\t3,4\t\n", None, False),
+    "extra-columns": ("a,b\n1,2,x\n3,4,5,6\n", None, False),
+    "short-row": ("a,b,c\n1,2,3\n4,5\n", None, True),
+    "empty-cells": ("a,b\n1,\n,2\n3,4\n", None, True),
+    "underscore": ("a,b\n1_0,2\n", None, True),
+    "non-numeric": ("a,b\n1,2\n3,x\n", None, True),
+    "nan": ("a,b\n1,2\nnan,3\n", None, False),
+    "inf": ("a,b\n1,2\n4,-inf\n", None, False),
+    "inf-after-blank": ("a,b\n1,2\n\n,5\nInfinity,3\n", None, True),
+    "bom": ("\ufeffa,b\n1,2\n", None, False),
+    "bom-named-column": ("\ufeffa,b\n1,2\n", ["a", "b"], False),
+    "negative-cols": ("a,b,c\n1,2,3\n4,5,6,7\n", [-1, 0], False),
+    "integer-and-named-cols": ("a,b,c\n1,2,3\n", [2, "a"], False),
+    "col-past-every-row": ("a,b\n1,2\n", [0, 10 ** 30], True),
+}
+
+
+@pytest.mark.parametrize("text,cols,loop", INGEST_CORPUS.values(), ids=list(INGEST_CORPUS))
+def test_ingest_matches_the_row_loop_reference(tmp_path, monkeypatch, text, cols, loop):
+    path = tmp_path / "losses.csv"
+    path.write_bytes(text.encode("utf-8"))
+    calls = []
+    parse_rows = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *a: calls.append(a) or parse_rows(*a))
+
+    def outcome(ingest):
+        try:
+            data, dropped = ingest(str(path), cols=cols)
+        except DataError as exc:
+            return str(exc)
+        return data.dtype, data.shape, data.tobytes(), dropped
+
+    assert outcome(ingest_csv) == outcome(_reference_ingest)
+    assert bool(calls) == loop
+
+
+def test_ingest_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
+    path = tmp_path / "losses.csv"
+    write_losses(path, n=20_000)
+    tracemalloc.start()
+    try:
+        data, _ = ingest_csv(str(path), cols=["a", "b", "c"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.2 matrices; the per-row loop peaked at about 23
+    assert peak <= 2 * data.nbytes
+
+
 def test_ingest_csv_resample(tmp_path):
     path = tmp_path / "losses.csv"
     write_losses(path)
@@ -402,6 +546,16 @@ def test_main_ingest_exit_codes(tmp_path, capsys):
     gaps = tmp_path / "gaps.csv"
     gaps.write_text("a,b\n1.0,2.0\n,3.0\n4.0,5.0\n")
     assert main(["ingest", str(gaps)]) == 2
+
+
+@pytest.mark.parametrize("extra,key", [
+    (["--flip", "5"], "flip"),
+    (["--flip", "-3"], "flip"),
+    (["--resample-n", "-3"], "resample_n"),
+])
+def test_main_ingest_refuses_bad_flip_or_resample_n(capsys, extra, key):
+    assert main(["ingest", EXAMPLE_CSV, "--cols", "bank", "fund", *extra]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_main_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Slab rejection sampling, Metropolis-Hastings, polytopes, reflective HMC."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -148,6 +149,47 @@ def test_slab_screen_keeps_the_exact_rows(name, make, K, delta, n):
     for seed in (0, 1):
         x, rate = slab_sample(model, K, cfg, seed)
         ref, ref_rate = _exact_slab(model, K, cfg, seed)
+        assert np.array_equal(x, ref)
+        assert rate == ref_rate
+
+
+def _transform_route(model):
+    """Draws of a row-store model as the per-draw map makes them: gather
+    pseudo-observation rows, clip, and map them through the margins."""
+    def sample(n, rng):
+        store = model.copula.pseudo_obs
+        u = np.clip(store[rng.integers(0, store.shape[0], size=n)], 1e-15, 1.0 - 1e-15)
+        x = np.empty_like(u)
+        for j, m in enumerate(model.margins):
+            x[:, j] = m.quantile(u[:, j])
+        return x
+    return sample
+
+
+ROW_STORE_CASES = {
+    "empirical": lambda: al.models.empirical_model_from_matrix(
+        np.exp(0.5 * np.random.default_rng(3).standard_normal((5000, 3)))),
+    "parametric-margins": lambda: al.models.model_from_config({
+        "kind": "margin_copula", "copula": "empirical",
+        "pseudo_obs": np.random.default_rng(4).uniform(size=(3000, 3)).tolist(),
+        "margins": [{"type": "lomax", "shape": 2.5, "scale": 5.0},
+                    {"type": "student_t", "df": 4.0, "loc": 3.0},
+                    {"type": "normal", "mean": 2.0, "stdev": 0.5}]}),
+}
+
+
+@pytest.mark.parametrize("name", ROW_STORE_CASES)
+def test_row_store_draws_are_bitwise_the_transform_route(name):
+    model = ROW_STORE_CASES[name]()
+    reference = _transform_route(model)
+    for n in (1, 7, 20_000):
+        assert np.array_equal(model.sample(n, 5), reference(n, np.random.default_rng(5)))
+    # K at the median row sum, delta thin enough that most draws miss
+    K = float(np.median(reference(20_000, np.random.default_rng(6)).sum(axis=1)))
+    cfg = SlabConfig(n=300, delta=0.002 * K, standardize=False)
+    for seed in (0, 1):
+        x, rate = slab_sample(model, K, cfg, seed)
+        ref, ref_rate = _exact_slab(types.SimpleNamespace(sample=reference), K, cfg, seed)
         assert np.array_equal(x, ref)
         assert rate == ref_rate
 
