@@ -9,10 +9,10 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     NotAvailableError,
 )
 from .models import (
+    _finite_number,
     _finite_positive,
     _int_at_least,
     empirical_model_from_matrix,
@@ -48,6 +49,13 @@ from .samplers import HMCConfig, MHConfig, SlabConfig, hmc_reflect_chain, mh_cha
 # ---------------------------------------------------------------------------
 
 def load_config(path):
+    """(doc, sha256 of its text) of a config file; refuses a bad value."""
+    doc, digest = _read_config(path)
+    validate_config(doc)
+    return doc, digest
+
+
+def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -56,37 +64,92 @@ def load_config(path):
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config parse error at line {exc.lineno}: {exc.msg}")
-    validate_config(doc)
     return doc, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """Every value of a config that a run reads, each checked once by
+    `validate_config`; the `model` section is read by `build_model`."""
+    K: float                      # fixed capital; None under the rule 'var'
+    p: float                      # VaR level and calibration draws of the rule 'var'
+    n_cal: int
+    core: bool                    # sample the core polytope (rule 'var', method 'hmc')
+    method: str
+    sampler: object               # SlabConfig, MHConfig or HMCConfig, at seed 0
+    replications: int
+    seed: int
+    mean_shift: MeanShiftConfig   # None when modes.enabled is false
+    cluster_radius: float         # None: 0.25 |K|, or 1 at K = 0
+    mla: bool
+    adjust: bool
+    lam: float
+    grid: GridSpec                # None without a level set
+    level: float
+    output: str
+
+
+# sampler.method -> (config class, the keys of `sampler` it takes)
+_SAMPLERS = {
+    "slab": (SlabConfig, ("n", "delta", "standardize")),
+    "mh": (MHConfig, ("chain_length", "proposal", "burn_in", "thinning")),
+    "hmc": (HMCConfig, ("chain_length", "epsilon", "steps", "burn_in", "mass")),
+}
+
+
 def validate_config(doc):
-    if "model" not in doc:
+    """The Experiment of a config document; a bad value raises a
+    ConfigurationError that names its key path."""
+    if not isinstance(doc, dict) or "model" not in doc:
         raise ConfigurationError("missing key: model")
-    cap = _section(doc, "capital")
-    if cap.get("rule") not in ("fixed", "var"):
+    cap, sampler, modes, alloc, ls = (
+        _section(doc, key) for key in ("capital", "sampler", "modes", "allocate", "levelset"))
+    rule = cap.get("rule")
+    if rule not in ("fixed", "var"):
         raise ConfigurationError("capital.rule must be 'fixed' or 'var'")
-    if cap["rule"] == "fixed" and "K" not in cap:
-        raise ConfigurationError("capital.rule 'fixed' needs key K")
-    if cap["rule"] == "fixed" and not (isinstance(cap["K"], (int, float))
-                                       and math.isfinite(cap["K"])):
-        raise ConfigurationError(f"capital.K must be a finite number, got {cap['K']!r}")
-    if cap["rule"] == "var":
-        _var_params(cap)
-    sampler = _section(doc, "sampler")
+    K = p = n_cal = None
+    if rule == "fixed":
+        K = float(_checked(cap, "K", "capital.K", None, _finite_number, "a finite number"))
+    else:
+        p = _checked(cap, "p", "capital.p", None,
+                     lambda v: _finite_positive(v) and v < 1, "a number in (0, 1)")
+        n_cal = _checked(cap, "n_cal", "capital.n_cal", 10 ** 6,
+                         lambda v: _int_at_least(v, 1), "an integer >= 1")
     method = sampler.get("method", "slab")
     if method not in ("slab", "mh", "hmc"):
         raise ConfigurationError("sampler.method must be slab, mh, or hmc")
-    _SAMPLER_CONFIGS[method](sampler)
-    _mean_shift_config(_section(doc, "modes"))
-    reps = doc.get("replications", 1)
-    if not _int_at_least(reps, 1):
-        raise ConfigurationError(f"replications must be an integer >= 1, got {reps!r}")
-    _seed(doc)
-    _lambda(_section(doc, "allocate"))
-    levelset = _section(doc, "levelset")
-    if levelset:
-        _level(levelset)
+    cls, keys = _SAMPLERS[method]
+    core = _flag(sampler, "core", "sampler.core", False)
+    if core and (rule, method) != ("var", "hmc"):
+        raise ConfigurationError("sampler.core: true needs rule 'var' and method 'hmc'")
+    mean_shift = MeanShiftConfig(**{k: modes[k] for k in ("tol", "max_iter") if k in modes})
+    grid = level = None
+    if ls:
+        level = _checked(ls, "level", "levelset.level", None, _finite_positive,
+                         "a finite number > 0")
+        ranges = _checked(ls, "ranges", "levelset.ranges", None, _is_ranges,
+                          "a list of [lo, hi] pairs of finite numbers with lo < hi")
+        grid = GridSpec([tuple(r) for r in ranges],
+                        _checked(ls, "resolution", "levelset.resolution", 200,
+                                 lambda v: _int_at_least(v, 16), "an integer >= 16"))
+    return Experiment(
+        K=K, p=p, n_cal=n_cal, core=core, method=method,
+        sampler=cls(**{k: sampler[k] for k in keys if k in sampler}),
+        replications=_checked(doc, "replications", "replications", 1,
+                              lambda v: _int_at_least(v, 1), "an integer >= 1"),
+        seed=_checked(doc, "seed", "seed", 0, lambda v: _int_at_least(v, 0), "an integer >= 0"),
+        mean_shift=mean_shift if _flag(modes, "enabled", "modes.enabled", True) else None,
+        cluster_radius=_checked(modes, "cluster_radius", "modes.cluster_radius", None,
+                                lambda v: v is None or _finite_positive(v),
+                                "a finite number > 0"),
+        mla=_flag(alloc, "mla", "allocate.mla", True),
+        adjust=_flag(alloc, "adjust", "allocate.adjust", True),
+        lam=_checked(alloc, "lambda", "allocate.lambda", 1.0,
+                     lambda v: _finite_number(v) and v >= 0, "a finite number >= 0"),
+        grid=grid, level=level,
+        output=_checked(doc, "output", "output", "alloc_lab_out",
+                        lambda v: isinstance(v, str), "a string"),
+    )
 
 
 def _section(doc, key):
@@ -108,123 +171,71 @@ def _checked(section, key, path, default, ok, rule):
     return value
 
 
-def _seed(doc):
-    return _checked(doc, "seed", "seed", 0, lambda v: _int_at_least(v, 0), "an integer >= 0")
+def _flag(section, key, path, default):
+    return _checked(section, key, path, default, lambda v: isinstance(v, bool), "true or false")
 
 
-def _var_params(cap):
-    """(p, n_cal) of the capital rule 'var'."""
-    p = _checked(cap, "p", "capital.p", None,
-                 lambda v: _finite_positive(v) and v < 1, "a number in (0, 1)")
-    n_cal = _checked(cap, "n_cal", "capital.n_cal", 10 ** 6,
-                     lambda v: _int_at_least(v, 1), "an integer >= 1")
-    return p, n_cal
-
-
-def _lambda(allocate):
-    return _checked(allocate, "lambda", "allocate.lambda", 1.0,
-                    lambda v: _finite_positive(v) or (v == 0 and not isinstance(v, bool)),
-                    "a finite number >= 0")
-
-
-def _level(levelset):
-    return _checked(levelset, "level", "levelset.level", None, _finite_positive,
-                    "a finite number > 0")
-
-
-def _slab_config(sampler):
-    """The SlabConfig of a config's `sampler` mapping; raises on a bad n or delta."""
-    return SlabConfig(
-        n=sampler.get("n", 500),
-        delta=sampler.get("delta"),
-        standardize=bool(sampler.get("standardize", True)),
-    )
-
-
-def _mh_config(sampler, seed=0):
-    """The MHConfig of a config's `sampler` mapping; raises on a bad key."""
-    return MHConfig(
-        chain_length=sampler.get("chain_length", 10000),
-        proposal=sampler.get("proposal", "random_walk"),
-        burn_in=sampler.get("burn_in"),
-        thinning=sampler.get("thinning", 1),
-        seed=seed,
-    )
-
-
-def _hmc_config(sampler, seed=0):
-    """The HMCConfig of a config's `sampler` mapping; raises on a bad key."""
-    return HMCConfig(
-        chain_length=sampler.get("chain_length", 10000),
-        epsilon=sampler.get("epsilon"),
-        steps=sampler.get("steps"),
-        burn_in=sampler.get("burn_in"),
-        seed=seed,
-        mass=sampler.get("mass"),
-    )
-
-
-def _mean_shift_config(modes):
-    """(MeanShiftConfig, cluster radius or None) of a config's `modes` mapping;
-    raises on a bad tol, max_iter or cluster_radius."""
-    radius = modes.get("cluster_radius")
-    if not (radius is None or _finite_positive(radius)):
-        raise ConfigurationError(
-            f"modes.cluster_radius must be a finite number > 0, got {radius!r}")
-    cfg = MeanShiftConfig(tol=modes.get("tol", 1e-6), max_iter=modes.get("max_iter", 500))
-    return cfg, radius
-
-
-_SAMPLER_CONFIGS = {"slab": _slab_config, "mh": _mh_config, "hmc": _hmc_config}
+def _is_ranges(v):
+    return isinstance(v, list) and all(
+        isinstance(r, list) and len(r) == 2 and all(map(_finite_number, r)) and r[0] < r[1]
+        for r in v)
 
 
 def build_model(doc, base_dir="."):
     spec = doc["model"]
-    if spec.get("kind") == "empirical":
-        path = spec["csv"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        data, _ = ingest_csv(path, cols=spec.get("cols"), flip=spec.get("flip"))
+    if isinstance(spec, dict) and spec.get("kind") == "empirical":
+        path, cols = spec.get("csv"), spec.get("cols")
+        if not (isinstance(path, str) and path):
+            raise ConfigurationError(f"model.csv must be a file path, got {path!r}")
+        if not (cols is None or isinstance(cols, list)):
+            raise ConfigurationError(
+                f"model.cols must be a list of column names or indices, got {cols!r}")
+        data, _ = ingest_csv(os.path.join(base_dir, path), cols=cols, flip=spec.get("flip"))
         return empirical_model_from_matrix(data)
     return model_from_config(spec)
+
+
+def _model(exp, doc, base_dir):
+    """The model of doc; refuses a level set that does not fit it."""
+    model = build_model(doc, base_dir)
+    if exp.grid is not None and exp.grid.dim != model.d - 1:
+        raise ConfigurationError(f"levelset.ranges must give d - 1 = {model.d - 1} "
+                                 f"[lo, hi] pairs, got {exp.grid.dim}")
+    if exp.grid is not None and not model.has_density:
+        raise ConfigurationError("levelset needs a model with a density")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _resolve_capital(doc, model, seed):
-    cap = doc["capital"]
-    if cap["rule"] == "fixed":
-        return float(cap["K"]), None
-    p, n_cal = _var_params(cap)
-    sampler = _section(doc, "sampler")
-    if sampler.get("method") == "hmc" and sampler.get("core", False):
-        poly, K = core_polytope(model, p, n_cal, seed)
+def _resolve_capital(exp, model, seed):
+    if exp.K is not None:
+        return exp.K, None
+    if exp.core:
+        poly, K = core_polytope(model, exp.p, exp.n_cal, seed)
         return float(K), poly
-    s = model.sample(n_cal, seed).sum(axis=1)
-    return float(empirical_var(s, p)), None
+    s = model.sample(exp.n_cal, seed).sum(axis=1)
+    return float(empirical_var(s, exp.p)), None
 
 
-def _run_replication(model, K, doc, polytope, seed):
+def _run_replication(model, K, exp, polytope, seed):
     """One replication: conditional samples plus optional chain diagnostics."""
-    sampler = _section(doc, "sampler")
-    method = sampler.get("method", "slab")
-    info = {}
-    if method == "slab":
-        samples, frac = slab_sample(model, K, _slab_config(sampler), seed)
-        info["slab_acceptance"] = frac
-        return samples, info
+    if exp.method == "slab":
+        samples, frac = slab_sample(model, K, exp.sampler, seed)
+        return samples, {"slab_acceptance": frac}
     target = ConditionalTarget(model, K)
-    if method == "mh":
-        chain, diag = mh_chain(target, _mh_config(sampler, seed))
+    cfg = replace(exp.sampler, seed=seed)
+    if exp.method == "mh":
+        chain, diag = mh_chain(target, cfg)
     else:
-        chain, diag = hmc_reflect_chain(target, polytope, _hmc_config(sampler, seed))
-    info["chain"] = {
+        chain, diag = hmc_reflect_chain(target, polytope, cfg)
+    info = {"chain": {
         "acceptance": diag.acceptance_rate,
         "lag1": [float(v) for v in diag.lag1],
         "ess": [float(v) for v in diag.ess],
-    }
+    }}
     info["ess"] = np.append(diag.ess, float(np.mean(diag.ess)))
     samples = target.lift(chain)
     return samples, info
@@ -254,25 +265,27 @@ def aggregate_modesets(modesets, radius):
 
 def run_pipeline(doc, base_dir="."):
     """Execute the configured experiment; returns (report, artifacts, warnings)."""
+    return _run(validate_config(doc), doc, base_dir)
+
+
+def _run(exp, doc, base_dir):
+    """run_pipeline of the Experiment exp of doc."""
     warnings = []
-    model = build_model(doc, base_dir)
-    R = doc.get("replications", 1)
-    seeds = split_seeds(_seed(doc), R + 1)
-    K, polytope = _resolve_capital(doc, model, seeds[0])
+    model = _model(exp, doc, base_dir)
+    R = exp.replications
+    seeds = split_seeds(exp.seed, R + 1)
+    K, polytope = _resolve_capital(exp, model, seeds[0])
 
     rep_samples = []
     rep_info = []
     modesets = []
-    modes_doc = _section(doc, "modes")
-    mcfg, radius = _mean_shift_config(modes_doc)
-    modes_on = bool(modes_doc.get("enabled", True))
     target = ConditionalTarget(model, K)
     for r in range(R):
-        samples, info = _run_replication(model, K, doc, polytope, seeds[r + 1])
+        samples, info = _run_replication(model, K, exp, polytope, seeds[r + 1])
         rep_samples.append(samples)
         rep_info.append(info)
-        if modes_on:
-            ms = mean_shift_modes(samples[:, :-1], target, mcfg)
+        if exp.mean_shift is not None:
+            ms = mean_shift_modes(samples[:, :-1], target, exp.mean_shift)
             if ms.convergence_warning:
                 warnings.append(f"replication {r}: mean-shift convergence below 80%")
             modesets.append(ms)
@@ -288,38 +301,28 @@ def run_pipeline(doc, base_dir="."):
         "replications": R,
         "euler": {"mean": euler_mean.tolist(), "se": np.asarray(euler_se).tolist()},
     }
-    alloc_doc = _section(doc, "allocate")
 
     clusters = None
-    if modes_on and modesets:
+    if modesets:
+        radius = exp.cluster_radius
         if radius is None:
             radius = 0.25 * abs(K) if K else 1.0
         clusters = aggregate_modesets(modesets, radius)
-        report["modes"] = {
-            "count": len(clusters),
-            "clusters": [
-                {
-                    "location": c["location"].tolist(),
-                    "se": c["se"].tolist(),
-                    "support": c["support"],
-                }
-                for c in clusters
-            ],
-        }
+        report["modes"] = {"count": len(clusters), "clusters": [
+            {"location": c["location"].tolist(), "se": c["se"].tolist(), "support": c["support"]}
+            for c in clusters]}
 
-    if alloc_doc.get("mla", True) and clusters is not None:
+    if exp.mla and clusters is not None:
         if len(clusters) == 1:
-            report["mla"] = {
-                "allocation": clusters[0]["location"].tolist(),
-                "se": clusters[0]["se"].tolist(),
-            }
+            report["mla"] = {"allocation": clusters[0]["location"].tolist(),
+                             "se": clusters[0]["se"].tolist()}
         else:
             warnings.append(
                 f"multimodal target ({len(clusters)} modes): MLA downgraded to adjusted capital"
             )
             report["mla"] = None
 
-    if clusters is not None and alloc_doc.get("adjust", True):
+    if clusters is not None and exp.adjust:
         if len(clusters) > 1:
             locs = np.array([c["location"] for c in clusters])
             if model.has_density:
@@ -330,14 +333,13 @@ def run_pipeline(doc, base_dir="."):
                 logf = [c["log_density"] for c in clusters]
             w = scenario_weights(logf)
             sset = ScenarioSet(locs, w, K=K, sum_tol=1e-6 * max(1.0, abs(K)))
-            lam = _lambda(alloc_doc)
-            base, adj, total = multimodality_adjust(sset, lam)
+            base, adj, total = multimodality_adjust(sset, exp.lam)
             report["adjustment"] = {
                 "baseline": base.a.tolist(),
                 "adjustment": adj.tolist(),
                 "total": total.tolist(),
                 "weights": w.tolist(),
-                "lambda": lam,
+                "lambda": exp.lam,
             }
         else:
             report["adjustment"] = None
@@ -350,13 +352,9 @@ def run_pipeline(doc, base_dir="."):
         report["slab"] = {"acceptance_fraction": float(np.mean(slabs))}
 
     artifacts = {"samples": rep_samples[0]}
-    ls = _section(doc, "levelset")
-    if ls:
-        grid = GridSpec([tuple(r) for r in ls["ranges"]],
-                        int(ls.get("resolution", 200)))
-        mask = superlevel_mask(lambda xp: np.exp(target.log_density(xp)),
-                               _level(ls), grid)
-        artifacts["levelset"] = mask
+    if exp.grid is not None:
+        artifacts["levelset"] = superlevel_mask(lambda xp: np.exp(target.log_density(xp)),
+                                                exp.level, exp.grid)
     report["warnings"] = warnings
     return report, artifacts, warnings
 
@@ -373,12 +371,12 @@ def _write_csv(path, header, rows, fmt="%.17g"):
             w.writerow([fmt % v if isinstance(v, float) else v for v in row])
 
 
-def write_report(report, artifacts, doc, config_hash, out_dir):
+def write_report(report, artifacts, exp, config_hash, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     report = dict(report)
     report["provenance"] = {
         "config_sha256": config_hash,
-        "seed": _seed(doc),
+        "seed": exp.seed,
         "versions": {"alloc_lab": __version__, "numpy": np.__version__},
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -387,26 +385,23 @@ def write_report(report, artifacts, doc, config_hash, out_dir):
 
     d = len(report["euler"]["mean"])
     cols = [f"X{j + 1}" for j in range(d)]
-    rows = [["euler"] + [round(v, 3) for v in report["euler"]["mean"]],
-            ["euler_se"] + [round(v, 3) for v in report["euler"]["se"]]]
+    named = [("euler", report["euler"]["mean"]), ("euler_se", report["euler"]["se"])]
     if report.get("mla"):
-        rows.append(["mla"] + [round(v, 3) for v in report["mla"]["allocation"]])
-        rows.append(["mla_se"] + [round(v, 3) for v in report["mla"]["se"]])
+        named += [("mla", report["mla"]["allocation"]), ("mla_se", report["mla"]["se"])]
     for i, c in enumerate(report.get("modes", {}).get("clusters", [])):
-        rows.append([f"mode_{i + 1}"] + [round(v, 3) for v in c["location"]])
-        rows.append([f"mode_{i + 1}_se"] + [round(v, 3) for v in c["se"]])
+        named += [(f"mode_{i + 1}", c["location"]), (f"mode_{i + 1}_se", c["se"])]
     if report.get("adjustment"):
         adj = report["adjustment"]
-        rows.append(["baseline"] + [round(v, 3) for v in adj["baseline"]])
-        rows.append(["adjustment"] + [round(v, 3) for v in adj["adjustment"]])
-        rows.append(["adjusted_total"] + [round(v, 3) for v in adj["total"]])
+        named += [("baseline", adj["baseline"]), ("adjustment", adj["adjustment"]),
+                  ("adjusted_total", adj["total"])]
+    rows = [[name] + [round(v, 3) for v in values] for name, values in named]
     _write_csv(os.path.join(out_dir, "table.csv"), ["method"] + cols, rows, fmt="%.3f")
 
     samples = artifacts.get("samples")
     if samples is not None:
         _write_csv(os.path.join(out_dir, "samples.csv"), cols,
                    [list(map(float, row)) for row in samples])
-        if _section(doc, "sampler").get("method") in ("mh", "hmc"):
+        if exp.method in ("mh", "hmc"):
             _write_csv(os.path.join(out_dir, "chain.csv"), cols[:-1],
                        [list(map(float, row[:-1])) for row in samples])
     if "levelset" in artifacts:
@@ -418,13 +413,12 @@ def write_report(report, artifacts, doc, config_hash, out_dir):
 
 def run_experiment(config_path, output=None):
     """Load a config, run the pipeline, write the report; returns exit code."""
-    doc, config_hash = load_config(config_path)
+    doc, config_hash = _read_config(config_path)
+    exp = validate_config(doc)
     base_dir = os.path.dirname(os.path.abspath(config_path))
-    report, artifacts, warnings = run_pipeline(doc, base_dir)
-    out_dir = output or doc.get("output", "alloc_lab_out")
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
-    write_report(report, artifacts, doc, config_hash, out_dir)
+    report, artifacts, warnings = _run(exp, doc, base_dir)
+    write_report(report, artifacts, exp, config_hash,
+                 os.path.join(base_dir, output or exp.output))
     return 2 if warnings else 0
 
 
@@ -448,6 +442,8 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
                 header = next(reader)
             except StopIteration:
                 raise DataError("empty file")
+            except csv.Error as exc:
+                raise DataError(f"row 1: {exc}") from None
             body = fh.tell()
             lines = _count_lines(fh)
             idx = _column_indices(header, cols)
@@ -508,7 +504,7 @@ def _column_indices(header, cols):
     else:
         idx = []
         for c in cols:
-            if isinstance(c, int):
+            if isinstance(c, int) and not isinstance(c, bool):
                 idx.append(c)
             elif c in header:
                 idx.append(header.index(c))
@@ -525,21 +521,24 @@ def _parse_rows(raw, idx):
     cell, and names the file row of a short or non-numeric one."""
     rows = []
     dropped = []
-    for rnum, row in enumerate(raw):
-        if not row:
-            dropped.append(rnum)
-            continue
-        try:
-            vals = [row[i].strip() for i in idx]
-        except IndexError:
-            raise DataError(f"row {rnum + 2}: too few columns")
-        if any(v == "" for v in vals):
-            dropped.append(rnum)
-            continue
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError:
-            raise DataError(f"row {rnum + 2}: non-numeric cell")
+    try:
+        for rnum, row in enumerate(raw):
+            if not row:
+                dropped.append(rnum)
+                continue
+            try:
+                vals = [row[i].strip() for i in idx]
+            except IndexError:
+                raise DataError(f"row {rnum + 2}: too few columns")
+            if any(v == "" for v in vals):
+                dropped.append(rnum)
+                continue
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError:
+                raise DataError(f"row {rnum + 2}: non-numeric cell")
+    except csv.Error as exc:    # a cell beyond the csv module's field limit
+        raise DataError(f"row {len(rows) + len(dropped) + 2}: {exc}") from None
     if not rows:
         raise DataError("no usable data rows")
     return np.array(rows, dtype=float), dropped
@@ -608,8 +607,8 @@ def main(argv=None):
             print(f"wrote {args.out}")
             return 0
         if args.verb == "check":
-            doc, digest = load_config(args.config)
-            build_model(doc, os.path.dirname(os.path.abspath(args.config)))
+            doc, digest = _read_config(args.config)
+            _model(validate_config(doc), doc, os.path.dirname(os.path.abspath(args.config)))
             print(f"config ok (sha256 {digest[:12]})")
             return 0
     except AllocLabError as exc:

@@ -38,9 +38,14 @@ def _int_at_least(v, low):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
 
 
+def _finite_number(v):
+    """True for a finite real number (not a bool)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
 def _finite_positive(v):
     """True for a finite real number (not a bool) > 0."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+    return _finite_number(v) and v > 0
 
 
 def _require_positive(owner, **params):
@@ -838,58 +843,93 @@ def empirical_es(samples, p):
 # Config-document construction
 # ---------------------------------------------------------------------------
 
+class _Keys:
+    """The values of one config mapping, each refused with a
+    ConfigurationError that names its key path unless it has the right type."""
+
+    def __init__(self, doc, path):
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{path} must be a JSON object, got {doc!r}")
+        self.doc, self.path = doc, path
+
+    def get(self, name, default=None):
+        """doc[name], or default when absent; a missing key without a default
+        is refused."""
+        if name not in self.doc and default is None:
+            raise ConfigurationError(f"missing key: {self.path}.{name}")
+        return self.doc.get(name, default)
+
+    def number(self, name, default=None):
+        v = self.get(name, default)
+        if not _finite_number(v):
+            raise ConfigurationError(f"{self.path}.{name} must be a finite number, got {v!r}")
+        return float(v)
+
+    def array(self, name):
+        v = self.get(name)
+        if not (isinstance(v, list) and _all_finite(v)):
+            raise ConfigurationError(f"{self.path}.{name} must be an array of finite numbers")
+        try:
+            return np.asarray(v, dtype=float)
+        except ValueError:    # ragged rows
+            raise ConfigurationError(f"{self.path}.{name} must be a rectangular array") from None
+
+
+def _all_finite(v):
+    """True for a finite number, or a (nested) list of finite numbers."""
+    if isinstance(v, list):
+        return all(map(_all_finite, v))
+    return _finite_number(v)
+
+
 _MARGIN_BUILDERS = {
-    "lomax": lambda doc: Lomax(float(doc["shape"]), float(doc["scale"])),
-    "pareto1": lambda doc: ParetoI(float(doc["shape"]), float(doc["minimum"])),
-    "student_t": lambda doc: StudentT(float(doc["df"]), float(doc.get("loc", 0.0)),
-                                      float(doc.get("scale", 1.0))),
-    "normal": lambda doc: Normal(float(doc.get("mean", 0.0)), float(doc.get("stdev", 1.0))),
-    "empirical": lambda doc: Empirical(np.asarray(doc["sample"], dtype=float)),
+    "lomax": lambda m: Lomax(m.number("shape"), m.number("scale")),
+    "pareto1": lambda m: ParetoI(m.number("shape"), m.number("minimum")),
+    "student_t": lambda m: StudentT(m.number("df"), m.number("loc", 0.0),
+                                    m.number("scale", 1.0)),
+    "normal": lambda m: Normal(m.number("mean", 0.0), m.number("stdev", 1.0)),
+    "empirical": lambda m: Empirical(m.array("sample")),
 }
 
 
-def margin_from_config(doc):
+def margin_from_config(doc, path="margin"):
+    m = _Keys(doc, path)
     kind = doc.get("type")
-    if kind not in _MARGIN_BUILDERS:
+    if not isinstance(kind, str) or kind not in _MARGIN_BUILDERS:
         raise ParameterError(f"unknown margin type: {kind!r}")
-    return _MARGIN_BUILDERS[kind](doc)
+    return _MARGIN_BUILDERS[kind](m)
 
 
 def model_from_config(doc):
     """Build a JointModel from a config mapping.
 
-    Documented keys: kind, margins[], copula, nu, corr, mu, sigma.
+    Documented keys: kind, margins[], copula, nu, corr, mu, sigma.  A missing
+    or mistyped value raises a ConfigurationError naming its key path.
     """
-    def key(name):
-        if name not in doc:
-            raise ConfigurationError(f"missing key: model.{name}")
-        return doc[name]
-
+    spec = _Keys(doc, "model")
     kind = doc.get("kind")
     if kind == "elliptical":
         gen_name = doc.get("generator", "normal")
         if gen_name == "normal":
             gen = NormalGen()
         elif gen_name == "student_t":
-            gen = StudentTGen(float(key("nu")))
+            gen = StudentTGen(spec.number("nu"))
         else:
             raise ParameterError(f"unknown generator: {gen_name!r}")
-        return EllipticalJoint(EllipticalModel(np.asarray(key("mu"), dtype=float),
-                                               DispersionMatrix(key("sigma")), gen))
+        return EllipticalJoint(EllipticalModel(spec.array("mu"),
+                                               DispersionMatrix(spec.array("sigma")), gen))
     if kind == "margin_copula":
-        margins = []
-        for i, m in enumerate(key("margins")):
-            try:
-                margins.append(margin_from_config(m))
-            except KeyError as exc:
-                raise ConfigurationError(f"missing key: model.margins[{i}].{exc.args[0]}") from None
+        margins = spec.get("margins")
+        if not isinstance(margins, list):
+            raise ConfigurationError(f"model.margins must be a list, got {margins!r}")
+        margins = [margin_from_config(m, f"model.margins[{i}]") for i, m in enumerate(margins)]
         cop_name = doc.get("copula", "independence")
         if cop_name == "student_t":
-            copula = StudentTCopula(float(key("nu")), np.asarray(key("corr"), dtype=float))
+            copula = StudentTCopula(spec.number("nu"), spec.array("corr"))
         elif cop_name == "independence":
             copula = IndependenceCopula(len(margins))
         elif cop_name == "empirical":
-            copula = EmpiricalResampleCopula(np.asarray(key("pseudo_obs"), dtype=float))
+            copula = EmpiricalResampleCopula(spec.array("pseudo_obs"))
         else:
             raise ParameterError(f"unknown copula: {cop_name!r}")
         return MarginCopula(margins, copula)

@@ -25,7 +25,7 @@ from .models import _finite_positive, _int_at_least, rng_from_seed
 
 @dataclass
 class SlabConfig:
-    n: int
+    n: int = 500
     delta: float = None          # default 0.01 * |K| resolved at call time
     standardize: bool = True
     max_attempts: int = 200_000_000
@@ -36,6 +36,9 @@ class SlabConfig:
         if not (self.delta is None or _finite_positive(self.delta)):
             raise ConfigurationError(
                 f"sampler.delta must be a finite number > 0, got {self.delta!r}")
+        if not isinstance(self.standardize, bool):
+            raise ConfigurationError(
+                f"sampler.standardize must be true or false, got {self.standardize!r}")
 
     def resolved_delta(self, K):
         if self.delta is not None:
@@ -161,7 +164,7 @@ def _burn_in(cfg):
 
 @dataclass
 class MHConfig:
-    chain_length: int
+    chain_length: int = 10000
     proposal: str = "random_walk"     # or "independent_uniform_simplex"
     burn_in: int = None               # default 10% of chain length
     thinning: int = 1
@@ -301,7 +304,7 @@ class Polytope:
 
 @dataclass
 class HMCConfig:
-    chain_length: int
+    chain_length: int = 10000
     epsilon: float = None         # pilot-tuned if None
     steps: int = None             # pilot-tuned if None
     burn_in: int = None

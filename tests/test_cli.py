@@ -168,6 +168,54 @@ LOMAX_PAIR = {
     ({"levelset": {"ranges": [[0, 8], [0, 8]]}}, "levelset.level"),
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "fund"],
                 "flip": [5]}}, "flip"),
+    ({"levelset": {"level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": "abc", "level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": [[0, 8], [8, 0]], "level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": [[0, 8], [0, "x"]], "level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": [[0, 8]], "level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": [[0, 8]] * 3, "level": 0.01}}, "levelset.ranges"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01, "resolution": "x"}},
+     "levelset.resolution"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01, "resolution": 8}},
+     "levelset.resolution"),
+    ({"levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01, "resolution": 40.0}},
+     "levelset.resolution"),
+    ({"modes": {"enabled": "no"}}, "modes.enabled"),
+    ({"allocate": {"mla": "false"}}, "allocate.mla"),
+    ({"allocate": {"adjust": 1}}, "allocate.adjust"),
+    ({"sampler": {"method": "slab", "standardize": "no"}}, "sampler.standardize"),
+    ({"capital": {"rule": "fixed", "K": True}}, "capital.K"),
+    ({"output": 5}, "output"),
+    ({"sampler": {"method": "slab", "core": True}}, "sampler.core"),
+    ({"sampler": {"method": "hmc", "core": True}}, "sampler.core"),
+    ({"capital": {"rule": "var", "p": 0.9}, "sampler": {"method": "slab", "core": True}},
+     "sampler.core"),
+    ({"capital": {"rule": "var", "p": 0.9}, "sampler": {"method": "hmc", "core": "yes"}},
+     "sampler.core"),
+    ({"model": 5}, "model must be"),
+    ({"model": {"kind": "margin_copula", "margins": 5}}, "model.margins"),
+    ({"model": {"kind": "margin_copula", "margins": [5]}}, "model.margins[0]"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": "abc", "scale": 1.0}])},
+     "model.margins[0].shape"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": "2.5", "scale": 1.0}])},
+     "model.margins[0].shape"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": True, "scale": 1.0}])},
+     "model.margins[0].shape"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal", "mean": "x"}])},
+     "model.margins[0].mean"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist(),
+                "generator": "student_t", "nu": "abc"}}, "model.nu"),
+    ({"model": {"kind": "elliptical", "mu": "x", "sigma": REF_CORR.tolist()}}, "model.mu"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, float("nan"), 0.0],
+                "sigma": REF_CORR.tolist()}}, "model.mu"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0],
+                "sigma": [[1.0, 0.0], [0.0]]}}, "model.sigma"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": 3.0, "scale": 1.0}] * 2,
+                    copula="student_t", nu=5.0, corr="x")}, "model.corr"),
+    ({"model": {"kind": "empirical"}}, "model.csv"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": 5}}, "model.cols"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "insurance", "fund"]},
+      "levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01}}, "levelset needs a model"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -265,6 +313,19 @@ def test_pipeline_deterministic(tmp_path):
     r2, a2, _ = run_pipeline(doc)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     np.testing.assert_array_equal(a1["samples"], a2["samples"])
+
+
+@pytest.mark.parametrize("levelset", [
+    {"level": 0.01},
+    {"ranges": [[0.0, 8.0]], "level": 0.01},
+])
+def test_pipeline_refuses_a_bad_levelset_before_sampling(tmp_path, monkeypatch, levelset):
+    calls = []
+    monkeypatch.setattr(cli, "slab_sample", lambda *args: calls.append(args))
+    _, doc = small_config(tmp_path, levelset=levelset)
+    with pytest.raises(ConfigurationError, match="levelset.ranges"):
+        run_pipeline(doc)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +607,16 @@ def test_main_ingest_exit_codes(tmp_path, capsys):
     gaps = tmp_path / "gaps.csv"
     gaps.write_text("a,b\n1.0,2.0\n,3.0\n4.0,5.0\n")
     assert main(["ingest", str(gaps)]) == 2
+
+
+def test_main_ingest_names_the_row_of_an_overlong_cell(tmp_path, capsys):
+    # the blank line sends the file through the row loop, whose csv reader
+    # refuses a cell beyond its field limit
+    path = tmp_path / "long.csv"
+    path.write_text("a,b\n1.0,2.0\n\n0." + "0" * 199_998 + "1,2.0\n")
+    assert main(["ingest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "row 4" in err and "field limit" in err
 
 
 @pytest.mark.parametrize("extra,key", [
