@@ -32,16 +32,24 @@ from .errors import (
     NotAvailableError,
 )
 from .models import (
+    FLAG,
+    POSITIVE,
+    _Keys,
+    _built,
     _finite_number,
     _finite_positive,
     _int_at_least,
+    checked,
     empirical_model_from_matrix,
     empirical_var,
+    integer,
     model_from_config,
+    or_null,
     split_seeds,
 )
 from .modes import MeanShiftConfig, mean_shift_modes, radius_merge, scenario_weights
-from .samplers import HMCConfig, MHConfig, SlabConfig, hmc_reflect_chain, mh_chain, slab_sample
+from .samplers import (HMCConfig, MHConfig, SlabConfig, _burn_in, hmc_reflect_chain, mh_chain,
+                       slab_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +70,9 @@ def _read_config(path):
         doc = json.loads(text)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
+        raise ConfigurationError(
+            f"cannot read config file {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config parse error at line {exc.lineno}: {exc.msg}")
     return doc, hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -102,77 +113,43 @@ def validate_config(doc):
     ConfigurationError that names its key path."""
     if not isinstance(doc, dict) or "model" not in doc:
         raise ConfigurationError("missing key: model")
-    cap, sampler, modes, alloc, ls = (
-        _section(doc, key) for key in ("capital", "sampler", "modes", "allocate", "levelset"))
-    rule = cap.get("rule")
-    if rule not in ("fixed", "var"):
-        raise ConfigurationError("capital.rule must be 'fixed' or 'var'")
+    top = _Keys(doc, "")
+    cap, sampler, modes, alloc, ls = map(
+        top.section, ("capital", "sampler", "modes", "allocate", "levelset"))
+    rule = cap.get("rule", None, lambda v: v in ("fixed", "var"), "'fixed' or 'var'")
     K = p = n_cal = None
     if rule == "fixed":
-        K = float(_checked(cap, "K", "capital.K", None, _finite_number, "a finite number"))
+        K = cap.number("K")
     else:
-        p = _checked(cap, "p", "capital.p", None,
-                     lambda v: _finite_positive(v) and v < 1, "a number in (0, 1)")
-        n_cal = _checked(cap, "n_cal", "capital.n_cal", 10 ** 6,
-                         lambda v: _int_at_least(v, 1), "an integer >= 1")
-    method = sampler.get("method", "slab")
-    if method not in ("slab", "mh", "hmc"):
-        raise ConfigurationError("sampler.method must be slab, mh, or hmc")
+        p = cap.get("p", None, lambda v: _finite_positive(v) and v < 1, "a number in (0, 1)")
+        n_cal = cap.get("n_cal", 10 ** 6, *integer(1))
+    method = sampler.get("method", "slab", lambda v: v in ("slab", "mh", "hmc"),
+                         "'slab', 'mh' or 'hmc'")
     cls, keys = _SAMPLERS[method]
-    core = _flag(sampler, "core", "sampler.core", False)
-    if core and (rule, method) != ("var", "hmc"):
-        raise ConfigurationError("sampler.core: true needs rule 'var' and method 'hmc'")
-    mean_shift = MeanShiftConfig(**{k: modes[k] for k in ("tol", "max_iter") if k in modes})
+    core = sampler.get("core", False, *FLAG)
+    checked(core, "sampler.core", lambda v: not v or (rule, method) == ("var", "hmc"),
+            "false unless capital.rule is 'var' and sampler.method 'hmc'")
+    shift = MeanShiftConfig(**{k: modes.doc[k] for k in ("tol", "max_iter") if k in modes.doc})
     grid = level = None
-    if ls:
-        level = _checked(ls, "level", "levelset.level", None, _finite_positive,
-                         "a finite number > 0")
-        ranges = _checked(ls, "ranges", "levelset.ranges", None, _is_ranges,
-                          "a list of [lo, hi] pairs of finite numbers with lo < hi")
-        grid = GridSpec([tuple(r) for r in ranges],
-                        _checked(ls, "resolution", "levelset.resolution", 200,
-                                 lambda v: _int_at_least(v, 16), "an integer >= 16"))
+    if ls.doc:
+        level = ls.get("level", None, *POSITIVE)
+        ranges = ls.get("ranges", None, _is_ranges,
+                        "a list of [lo, hi] pairs of finite numbers with lo < hi")
+        grid = GridSpec([tuple(r) for r in ranges], ls.get("resolution", 200, *integer(16)))
     return Experiment(
         K=K, p=p, n_cal=n_cal, core=core, method=method,
-        sampler=cls(**{k: sampler[k] for k in keys if k in sampler}),
-        replications=_checked(doc, "replications", "replications", 1,
-                              lambda v: _int_at_least(v, 1), "an integer >= 1"),
-        seed=_checked(doc, "seed", "seed", 0, lambda v: _int_at_least(v, 0), "an integer >= 0"),
-        mean_shift=mean_shift if _flag(modes, "enabled", "modes.enabled", True) else None,
-        cluster_radius=_checked(modes, "cluster_radius", "modes.cluster_radius", None,
-                                lambda v: v is None or _finite_positive(v),
-                                "a finite number > 0"),
-        mla=_flag(alloc, "mla", "allocate.mla", True),
-        adjust=_flag(alloc, "adjust", "allocate.adjust", True),
-        lam=_checked(alloc, "lambda", "allocate.lambda", 1.0,
-                     lambda v: _finite_number(v) and v >= 0, "a finite number >= 0"),
+        sampler=cls(**{k: sampler.doc[k] for k in keys if k in sampler.doc}),
+        replications=top.get("replications", 1, *integer(1)),
+        seed=top.get("seed", 0, *integer(0)),
+        mean_shift=shift if modes.get("enabled", True, *FLAG) else None,
+        cluster_radius=modes.get("cluster_radius", None, *or_null(POSITIVE)),
+        mla=alloc.get("mla", True, *FLAG),
+        adjust=alloc.get("adjust", True, *FLAG),
+        lam=alloc.get("lambda", 1.0, lambda v: _finite_number(v) and v >= 0,
+                      "a finite number >= 0"),
         grid=grid, level=level,
-        output=_checked(doc, "output", "output", "alloc_lab_out",
-                        lambda v: isinstance(v, str), "a string"),
+        output=top.get("output", "alloc_lab_out", lambda v: isinstance(v, str), "a string"),
     )
-
-
-def _section(doc, key):
-    """The mapping doc[key], {} when absent or null; refuses any other value."""
-    value = doc.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _checked(section, key, path, default, ok, rule):
-    """section[key], or default when absent; refused with a ConfigurationError
-    naming path unless ok(value)."""
-    value = section.get(key, default)
-    if not ok(value):
-        raise ConfigurationError(f"{path} must be {rule}, got {value!r}")
-    return value
-
-
-def _flag(section, key, path, default):
-    return _checked(section, key, path, default, lambda v: isinstance(v, bool), "true or false")
 
 
 def _is_ranges(v):
@@ -184,25 +161,39 @@ def _is_ranges(v):
 def build_model(doc, base_dir="."):
     spec = doc["model"]
     if isinstance(spec, dict) and spec.get("kind") == "empirical":
-        path, cols = spec.get("csv"), spec.get("cols")
-        if not (isinstance(path, str) and path):
-            raise ConfigurationError(f"model.csv must be a file path, got {path!r}")
-        if not (cols is None or isinstance(cols, list)):
-            raise ConfigurationError(
-                f"model.cols must be a list of column names or indices, got {cols!r}")
-        data, _ = ingest_csv(os.path.join(base_dir, path), cols=cols, flip=spec.get("flip"))
-        return empirical_model_from_matrix(data)
+        keys = _Keys(spec, "model")
+        path = keys.get("csv", None, lambda v: isinstance(v, str) and v, "a file path")
+        cols = keys.get("cols", None, lambda v: v is None or isinstance(v, list) and len(v) > 1
+                        and all(isinstance(c, (str, int)) and not isinstance(c, bool) for c in v),
+                        "null or a list of at least 2 column names or indices")
+        data, _ = _built("model.csv" if cols is None else "model.csv with model.cols", ingest_csv,
+                         os.path.join(base_dir, path), cols=cols, flip=spec.get("flip"))
+        return _built("model.csv", empirical_model_from_matrix, data)
     return model_from_config(spec)
 
 
 def _model(exp, doc, base_dir):
-    """The model of doc; refuses a level set that does not fit it."""
-    model = build_model(doc, base_dir)
-    if exp.grid is not None and exp.grid.dim != model.d - 1:
-        raise ConfigurationError(f"levelset.ranges must give d - 1 = {model.d - 1} "
-                                 f"[lo, hi] pairs, got {exp.grid.dim}")
-    if exp.grid is not None and not model.has_density:
-        raise ConfigurationError("levelset needs a model with a density")
+    """The model of doc; refuses a level set, an HMC mass or a sample size
+    per replication that does not fit its dimension d, before any draw."""
+    model, cfg = build_model(doc, base_dir), exp.sampler
+    free = model.d - 1
+    if exp.grid is not None:
+        checked(exp.grid.ranges, "levelset.ranges", lambda r: len(r) == free,
+                f"d - 1 = {free} [lo, hi] pairs")
+        if not model.has_density:
+            raise ConfigurationError("levelset needs a model with a density")
+    checked(getattr(cfg, "mass", None), "sampler.mass",
+            lambda m: not isinstance(m, list) or len(m) == free,
+            f"null, 'pilot' or a list of d - 1 = {free} entries")
+    # Euler needs 30 samples, chain diagnostics 100 states, mean-shift 10 per free coordinate
+    least = max(30 if exp.method == "slab" else 100, 0 if exp.mean_shift is None else 10 * free)
+    if exp.method == "slab":
+        checked(cfg.n, "sampler.n", lambda n: n >= least,
+                f"an integer >= {least} (samples per replication)")
+    else:
+        kept = len(range(_burn_in(cfg), cfg.chain_length, getattr(cfg, "thinning", 1)))
+        checked(cfg.chain_length, "sampler.chain_length", lambda n: kept >= least,
+                f"long enough to keep {least} states after burn-in and thinning, not {kept}")
     return model
 
 
@@ -464,6 +455,8 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
                 data, dropped = _parse_rows(csv.reader(fh), idx)
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         rnum = int(bad[0])
@@ -474,13 +467,12 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
         raise DataError(f"row {rnum + 2}: non-finite cell")
     if flip is not None:
         d = data.shape[1]
-        if not (isinstance(flip, (list, tuple))
-                and all(_int_at_least(j, -d) and j < d for j in flip)):
-            raise DataError(f"flip must be a list of column indices in [{-d}, {d}), got {flip!r}")
+        checked(flip, "flip", lambda f: isinstance(f, (list, tuple))
+                and all(_int_at_least(j, -d) and j < d for j in f),
+                f"a list of column indices in [{-d}, {d})")
         for j in flip:
             data[:, j] = -data[:, j]
-    if resample_n is not None and not _int_at_least(resample_n, 0):
-        raise DataError(f"resample_n must be an integer >= 0, got {resample_n!r}")
+    checked(resample_n, "resample_n", *or_null(integer(0)))
     if resample_n:
         rng = np.random.default_rng(seed)
         data = data[rng.integers(0, data.shape[0], size=resample_n)]

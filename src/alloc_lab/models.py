@@ -48,6 +48,27 @@ def _finite_positive(v):
     return _finite_number(v) and v > 0
 
 
+def checked(value, path, ok, rule):
+    """value, refused with a ConfigurationError that names its key path
+    unless ok(value); the one place a config value is refused."""
+    if not ok(value):
+        raise ConfigurationError(f"{path} must be {rule}, got {value!r}")
+    return value
+
+
+# (ok, rule) pairs for `checked`
+POSITIVE = _finite_positive, "a finite number > 0"
+FLAG = (lambda v: isinstance(v, bool)), "true or false"
+
+
+def integer(low):
+    return (lambda v: _int_at_least(v, low)), f"an integer >= {low}"
+
+
+def or_null(ok_rule):
+    return (lambda v: v is None or ok_rule[0](v)), f"null or {ok_rule[1]}"
+
+
 def _require_positive(owner, **params):
     """Raise ParameterError naming the first parameter that is not finite and > 0."""
     for name, value in params.items():
@@ -596,8 +617,8 @@ class EmpiricalResampleCopula(CopulaModel):
 
     def __init__(self, pseudo_obs):
         pseudo_obs = np.asarray(pseudo_obs, dtype=float)
-        if pseudo_obs.size == 0:
-            raise DataError("empty pseudo-observation store")
+        if pseudo_obs.ndim != 2 or pseudo_obs.size == 0:
+            raise DataError("pseudo-observation store is not a nonempty n x d matrix")
         if np.any(pseudo_obs < 0.0) or np.any(pseudo_obs > 1.0):
             raise DataError("pseudo-observations must lie in [0, 1]")
         self.pseudo_obs = pseudo_obs
@@ -844,42 +865,43 @@ def empirical_es(samples, p):
 # ---------------------------------------------------------------------------
 
 class _Keys:
-    """The values of one config mapping, each refused with a
-    ConfigurationError that names its key path unless it has the right type."""
+    """One config mapping at a key path; each value read through it is
+    refused by `checked`, naming its path, unless it fits its rule."""
 
     def __init__(self, doc, path):
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"{path} must be a JSON object, got {doc!r}")
-        self.doc, self.path = doc, path
+        self.doc = checked(doc, path, lambda v: isinstance(v, dict), "a JSON object")
+        self.prefix = f"{path}." if path else ""
 
-    def get(self, name, default=None):
-        """doc[name], or default when absent; a missing key without a default
-        is refused."""
-        if name not in self.doc and default is None:
-            raise ConfigurationError(f"missing key: {self.path}.{name}")
-        return self.doc.get(name, default)
+    def get(self, name, default, ok, rule):
+        """doc[name], or default when absent; refused unless ok(value)."""
+        return checked(self.doc.get(name, default), self.prefix + name, ok, rule)
+
+    def section(self, name):
+        """The mapping doc[name], empty when absent or null."""
+        value = self.doc.get(name)
+        return _Keys({} if value is None else value, self.prefix + name)
 
     def number(self, name, default=None):
-        v = self.get(name, default)
-        if not _finite_number(v):
-            raise ConfigurationError(f"{self.path}.{name} must be a finite number, got {v!r}")
-        return float(v)
+        return float(self.get(name, default, _finite_number, "a finite number"))
 
     def array(self, name):
-        v = self.get(name)
-        if not (isinstance(v, list) and _all_finite(v)):
-            raise ConfigurationError(f"{self.path}.{name} must be an array of finite numbers")
-        try:
-            return np.asarray(v, dtype=float)
-        except ValueError:    # ragged rows
-            raise ConfigurationError(f"{self.path}.{name} must be a rectangular array") from None
+        return np.asarray(self.get(name, None, _is_array,
+                                   "a rectangular array of finite numbers"), dtype=float)
 
 
-def _all_finite(v):
-    """True for a finite number, or a (nested) list of finite numbers."""
-    if isinstance(v, list):
-        return all(map(_all_finite, v))
-    return _finite_number(v)
+def _is_array(v):
+    """True for a list of finite numbers, or a list of such arrays of one shape."""
+    return isinstance(v, list) and (all(map(_finite_number, v)) or all(map(_is_array, v))
+                                    and len({np.shape(row) for row in v}) == 1)
+
+
+def _built(path, build, *args, **kwargs):
+    """build(*args, **kwargs); a ParameterError, ShapeError or DataError it
+    raises is raised again with the key path of its config value in front."""
+    try:
+        return build(*args, **kwargs)
+    except (ParameterError, ShapeError, DataError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 _MARGIN_BUILDERS = {
@@ -896,15 +918,16 @@ def margin_from_config(doc, path="margin"):
     m = _Keys(doc, path)
     kind = doc.get("type")
     if not isinstance(kind, str) or kind not in _MARGIN_BUILDERS:
-        raise ParameterError(f"unknown margin type: {kind!r}")
-    return _MARGIN_BUILDERS[kind](m)
+        raise ParameterError(f"{path}.type: unknown margin type: {kind!r}")
+    return _built(path, _MARGIN_BUILDERS[kind], m)
 
 
 def model_from_config(doc):
     """Build a JointModel from a config mapping.
 
     Documented keys: kind, margins[], copula, nu, corr, mu, sigma.  A missing
-    or mistyped value raises a ConfigurationError naming its key path.
+    or mistyped value raises a ConfigurationError naming its key path, and
+    an error of a model constructor carries the key path of its value.
     """
     spec = _Keys(doc, "model")
     kind = doc.get("kind")
@@ -913,27 +936,27 @@ def model_from_config(doc):
         if gen_name == "normal":
             gen = NormalGen()
         elif gen_name == "student_t":
-            gen = StudentTGen(spec.number("nu"))
+            gen = _built("model.nu", StudentTGen, spec.number("nu"))
         else:
-            raise ParameterError(f"unknown generator: {gen_name!r}")
-        return EllipticalJoint(EllipticalModel(spec.array("mu"),
-                                               DispersionMatrix(spec.array("sigma")), gen))
+            raise ParameterError(f"model.generator: unknown generator: {gen_name!r}")
+        sigma = _built("model.sigma", DispersionMatrix, spec.array("sigma"))
+        return EllipticalJoint(_built("model.mu", EllipticalModel, spec.array("mu"), sigma, gen))
     if kind == "margin_copula":
-        margins = spec.get("margins")
-        if not isinstance(margins, list):
-            raise ConfigurationError(f"model.margins must be a list, got {margins!r}")
+        margins = spec.get("margins", None, lambda v: isinstance(v, list), "a list")
         margins = [margin_from_config(m, f"model.margins[{i}]") for i, m in enumerate(margins)]
         cop_name = doc.get("copula", "independence")
         if cop_name == "student_t":
-            copula = StudentTCopula(spec.number("nu"), spec.array("corr"))
+            nu, corr = spec.number("nu"), spec.array("corr")
+            _built("model.nu", _require_positive, "StudentTCopula", nu=nu)
+            copula = _built("model.corr", StudentTCopula, nu, corr)
         elif cop_name == "independence":
             copula = IndependenceCopula(len(margins))
         elif cop_name == "empirical":
-            copula = EmpiricalResampleCopula(spec.array("pseudo_obs"))
+            copula = _built("model.pseudo_obs", EmpiricalResampleCopula, spec.array("pseudo_obs"))
         else:
-            raise ParameterError(f"unknown copula: {cop_name!r}")
-        return MarginCopula(margins, copula)
-    raise ParameterError(f"unknown model kind: {kind!r}")
+            raise ParameterError(f"model.copula: unknown copula: {cop_name!r}")
+        return _built("model.margins", MarginCopula, margins, copula)
+    raise ParameterError(f"model.kind: unknown model kind: {kind!r}")
 
 
 def empirical_model_from_matrix(data):

@@ -8,12 +8,11 @@ import numpy as np
 
 from .conditional import pin_row_sums
 from .errors import (
-    ConfigurationError,
     DegenerateWeightError,
     ParameterError,
     SampleSizeError,
 )
-from .models import DispersionMatrix, _finite_positive, _int_at_least
+from .models import POSITIVE, DispersionMatrix, checked, integer
 
 KDE_BLOCK_ENTRIES = 2 ** 16    # kernel entries per block of kde_logvalues
 
@@ -28,12 +27,8 @@ class MeanShiftConfig:
     min_basin_fraction: float = 0.01   # drop modes whose basin is tinier
 
     def __post_init__(self):
-        if not _finite_positive(self.tol):
-            raise ConfigurationError(
-                f"modes.tol must be a finite number > 0, got {self.tol!r}")
-        if not _int_at_least(self.max_iter, 1):
-            raise ConfigurationError(
-                f"modes.max_iter must be an integer >= 1, got {self.max_iter!r}")
+        checked(self.tol, "modes.tol", *POSITIVE)
+        checked(self.max_iter, "modes.max_iter", *integer(1))
 
 
 def plugin_bandwidth(samples):

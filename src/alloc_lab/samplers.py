@@ -16,7 +16,8 @@ from .errors import (
     SampleSizeError,
     StabilityError,
 )
-from .models import _finite_positive, _int_at_least, rng_from_seed
+from .models import (FLAG, POSITIVE, _finite_positive, _int_at_least, checked, integer,
+                     or_null, rng_from_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +32,9 @@ class SlabConfig:
     max_attempts: int = 200_000_000
 
     def __post_init__(self):
-        if not _int_at_least(self.n, 1):
-            raise ConfigurationError(f"sampler.n must be an integer >= 1, got {self.n!r}")
-        if not (self.delta is None or _finite_positive(self.delta)):
-            raise ConfigurationError(
-                f"sampler.delta must be a finite number > 0, got {self.delta!r}")
-        if not isinstance(self.standardize, bool):
-            raise ConfigurationError(
-                f"sampler.standardize must be true or false, got {self.standardize!r}")
+        checked(self.n, "sampler.n", *integer(1))
+        checked(self.delta, "sampler.delta", *or_null(POSITIVE))
+        checked(self.standardize, "sampler.standardize", *FLAG)
 
     def resolved_delta(self, K):
         if self.delta is not None:
@@ -153,12 +149,10 @@ def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
 def _burn_in(cfg):
     """The configured burn-in, by default 10% of the chain length; refuses a
     bad chain length or burn-in, naming the key."""
-    n, b = cfg.chain_length, cfg.burn_in
-    if not _int_at_least(n, 1):
-        raise ConfigurationError(f"sampler.chain_length must be an integer >= 1, got {n!r}")
-    if not (b is None or _int_at_least(b, 0) and b < n):
-        raise ConfigurationError(
-            f"sampler.burn_in must be null or an integer in [0, chain_length), got {b!r}")
+    n = checked(cfg.chain_length, "sampler.chain_length", *integer(1))
+    b = checked(cfg.burn_in, "sampler.burn_in",
+                lambda v: v is None or _int_at_least(v, 0) and v < n,
+                "null or an integer in [0, chain_length)")
     return n // 10 if b is None else b
 
 
@@ -173,12 +167,10 @@ class MHConfig:
 
     def __post_init__(self):
         _burn_in(self)
-        if self.proposal not in ("random_walk", "independent_uniform_simplex"):
-            raise ConfigurationError("sampler.proposal must be 'random_walk' or "
-                                     f"'independent_uniform_simplex', got {self.proposal!r}")
-        if not _int_at_least(self.thinning, 1):
-            raise ConfigurationError(
-                f"sampler.thinning must be an integer >= 1, got {self.thinning!r}")
+        checked(self.proposal, "sampler.proposal",
+                lambda v: v in ("random_walk", "independent_uniform_simplex"),
+                "'random_walk' or 'independent_uniform_simplex'")
+        checked(self.thinning, "sampler.thinning", *integer(1))
 
 
 def _pilot_sample(target, seed, n=200):
@@ -200,10 +192,8 @@ def mh_chain(target, cfg):
     rng = rng_from_seed(cfg.seed)
     d = target.d_prime
     simplex = isinstance(target.support, ShiftedSimplex) and target.support.bounded
-    if cfg.proposal == "independent_uniform_simplex" and not simplex:
-        raise ConfigurationError(
-            "independent uniform-simplex proposal needs a bounded simplex support"
-        )
+    checked(cfg.proposal, "sampler.proposal", lambda p: simplex or p == "random_walk",
+            "'random_walk' on a target without a bounded simplex support")
 
     x = cfg.initial
     random_walk = cfg.proposal == "random_walk"
@@ -315,17 +305,12 @@ class HMCConfig:
 
     def __post_init__(self):
         _burn_in(self)
-        if not (self.steps is None or _int_at_least(self.steps, 1)):
-            raise ConfigurationError(
-                f"sampler.steps must be null or an integer >= 1, got {self.steps!r}")
-        if not (self.epsilon is None or _finite_positive(self.epsilon)):
-            raise ConfigurationError(
-                f"sampler.epsilon must be null or a finite number > 0, got {self.epsilon!r}")
-        m = self.mass.tolist() if isinstance(self.mass, np.ndarray) else self.mass
-        if not (m is None or m == "pilot" or isinstance(m, (list, tuple)) and m
-                and all(_finite_positive(v) for v in m)):
-            raise ConfigurationError(
-                f"sampler.mass must be null, 'pilot' or a list of finite numbers > 0, got {self.mass!r}")
+        checked(self.steps, "sampler.steps", *or_null(integer(1)))
+        checked(self.epsilon, "sampler.epsilon", *or_null(POSITIVE))
+        mass = self.mass.tolist() if isinstance(self.mass, np.ndarray) else self.mass
+        positive = isinstance(mass, (list, tuple)) and mass and all(map(_finite_positive, mass))
+        checked(mass, "sampler.mass", lambda m: m in (None, "pilot") or positive,
+                "null, 'pilot' or a list of finite numbers > 0")
 
 
 # wall hits allowed in one leapfrog drift before the step counts as divergent
@@ -395,8 +380,7 @@ def hmc_reflect_chain(target, polytope, cfg):
         steps = steps if steps is not None else t_steps
         x0 = x0 if x0 is not None else start
     mass = np.ones(d) if mass is None else np.asarray(mass, dtype=float)
-    if mass.shape != (d,):
-        raise ConfigurationError(f"sampler.mass needs {d} entries, got {mass.size}")
+    checked(mass, "sampler.mass", lambda m: m.shape == (d,), f"a list of {d} entries")
     x = np.asarray(x0, dtype=float).ravel()
     if not polytope.contains(x)[0]:
         raise FeasibilityError("no feasible interior starting point")

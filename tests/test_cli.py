@@ -18,7 +18,7 @@ from alloc_lab.cli import (
     run_pipeline,
     validate_config,
 )
-from alloc_lab.errors import ConfigurationError, DataError, NotAvailableError
+from alloc_lab.errors import AllocLabError, ConfigurationError, DataError, NotAvailableError
 from alloc_lab.modes import ModeSet
 
 from conftest import REF_CORR
@@ -216,11 +216,94 @@ LOMAX_PAIR = {
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": 5}}, "model.cols"),
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "insurance", "fund"]},
       "levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01}}, "levelset needs a model"),
+    # errors of the model constructors carry the key path of their value
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": -1.0, "scale": 1.0}] * 2)},
+     "model.margins[0]"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}, {"type": "empirical", "sample": []}])},
+     "model.margins[1]"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "weibull"}])}, "model.margins[0].type"),
+    ({"model": {"kind": "copula"}}, "model.kind"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 2, copula="gumbel")},
+     "model.copula"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 2, copula="student_t", nu=0,
+                    corr=[[1.0, 0.5], [0.5, 1.0]])}, "model.nu"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 2, copula="student_t", nu=5,
+                    corr=[[2.0, 0.5], [0.5, 1.0]])}, "model.corr"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 2, copula="student_t", nu=5,
+                    corr=[[1.0, 2.0], [2.0, 1.0]])}, "model.corr"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 2, copula="student_t", nu=5,
+                    corr=REF_CORR.tolist())}, "model.margins"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist(),
+                "generator": "cauchy"}}, "model.generator"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist(),
+                "generator": "student_t", "nu": -1.0}}, "model.nu"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0], "sigma": REF_CORR.tolist()}},
+     "model.mu"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0], "sigma": [[1.0, 2.0], [2.0, 1.0]]}},
+     "model.sigma"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0], "sigma": [[1.0, 0.5], [0.0, 1.0]]}},
+     "model.sigma"),
+    ({"model": {"kind": "empirical", "csv": "missing.csv"}}, "model.csv"),
+    ({"model": {"kind": "empirical", "csv": "."}}, "model.csv"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "x"]}}, "model.cols"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank"]}}, "model.cols"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", 1.0]}}, "model.cols"),
+    # refused by `check`, where the sampler meets the model's d, not after sampling
+    ({"sampler": {"method": "hmc", "mass": [1.0]}}, "sampler.mass"),
+    ({"sampler": {"method": "hmc", "chain_length": 100}}, "sampler.chain_length"),
+    ({"sampler": {"method": "mh", "chain_length": 1000, "thinning": 10}}, "sampler.chain_length"),
+    ({"sampler": {"method": "slab", "n": 10}}, "sampler.n"),
+    ({"sampler": {"method": "slab", "n": 29}, "modes": {"enabled": False}}, "sampler.n"),
+    ({"model": {"kind": "elliptical", "mu": [0.0] * 5, "sigma": np.eye(5).tolist()},
+      "sampler": {"method": "slab", "n": 35}}, "sampler.n"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
     assert main(["check", path]) == 1
     assert key in capsys.readouterr().err
+
+
+def _key_paths(node, keys=()):
+    """The keys that lead to each value of a config document, outermost first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield keys + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, keys + (key,))
+
+
+def _path(keys):
+    """A key path as refusals write it, such as model.margins[0].shape."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+# a mutated key whose refusal may name the other key of a conflict instead:
+# null cols select every column, and the file has a date column
+CONFLICTS = {"model.cols": ("model.csv",)}
+
+
+def test_every_mutated_value_passes_check_or_is_refused_naming_its_key():
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    unnamed = []
+    for name in ("m4", "core_t5", "empirical"):
+        with open(os.path.join(root, f"{name}.cfg"), encoding="utf-8") as fh:
+            base = json.load(fh)
+        for keys in _key_paths(base):
+            # the path itself, a prefix of it below its section, or a conflicting key
+            names = {_path(keys[:k]) for k in range(min(2, len(keys)), len(keys) + 1)}
+            names.update(CONFLICTS.get(_path(keys), ()))
+            for value in (None, True, False, 0, -1, 2.5, 1e30, "x", [], {},
+                          float("nan"), float("inf")):
+                doc = json.loads(json.dumps(base))
+                parent = doc
+                for key in keys[:-1]:
+                    parent = parent[key]
+                parent[keys[-1]] = value
+                try:
+                    cli._model(validate_config(doc), doc, root)
+                except AllocLabError as exc:
+                    if not any(n in str(exc) for n in names):
+                        unnamed.append((name, _path(keys), value, str(exc)))
+    assert not unnamed
 
 
 def test_validate_config_rejects_non_finite_K():
@@ -627,6 +710,18 @@ def test_main_ingest_names_the_row_of_an_overlong_cell(tmp_path, capsys):
 def test_main_ingest_refuses_bad_flip_or_resample_n(capsys, extra, key):
     assert main(["ingest", EXAMPLE_CSV, "--cols", "bank", "fund", *extra]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check", "ingest"])
+@pytest.mark.parametrize("content", [None, b"a,b\n1,2\n\xff,3\n"], ids=["directory", "latin-1"])
+def test_main_names_an_unreadable_file(tmp_path, capsys, verb, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([verb, str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_main_error_exit_code(tmp_path, capsys):
