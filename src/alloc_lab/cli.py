@@ -12,7 +12,9 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     NotAvailableError,
+    StabilityError,
 )
 from .models import (
     FLAG,
@@ -167,8 +170,9 @@ def build_model(doc, base_dir="."):
                         and all(isinstance(c, (str, int)) and not isinstance(c, bool) for c in v),
                         "null or a list of at least 2 column names or indices")
         data, _ = _built("model.csv" if cols is None else "model.csv with model.cols", ingest_csv,
-                         os.path.join(base_dir, path), cols=cols, flip=spec.get("flip"))
-        return _built("model.csv", empirical_model_from_matrix, data)
+                         os.path.join(base_dir, path), cols=cols)
+        return _built("model.csv", empirical_model_from_matrix,
+                      _flipped(data, spec.get("flip"), "model.flip"))
     return model_from_config(spec)
 
 
@@ -232,6 +236,89 @@ def _run_replication(model, K, exp, polytope, seed):
     return samples, info
 
 
+def _replicate(seed, job=None):
+    """(samples, info, mode set or None) of the replication drawn from seed;
+    job is (model, K, exp, polytope, target), that of this worker when None."""
+    model, K, exp, polytope, target = _worker_job if job is None else job
+    samples, info = _run_replication(model, K, exp, polytope, seed)
+    ms = None
+    if exp.mean_shift is not None:
+        ms = mean_shift_modes(samples[:, :-1], target, exp.mean_shift)
+    return samples, info, ms
+
+
+def _workers(R):
+    """Processes for R replications: one per usable CPU, at most R; 1, the
+    calling process alone, where a forked pool is not available."""
+    if R == 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):    # it may not start children
+        return 1
+    return min(R, len(os.sched_getaffinity(0)))
+
+
+_worker_job = None    # the job of a pool worker, set by _worker_init
+
+# the thread-count setters of OpenBLAS builds: plain, 64-bit interface, and
+# the prefixed builds that the numpy and scipy wheels bundle
+_BLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _worker_init(job):
+    """Pool initializer: keep the job, and cap the BLAS threads of the worker.
+    A failed cap is reported, not raised: a worker whose initializer raises
+    breaks the pool, and the cap only saves time."""
+    global _worker_job
+    _worker_job = job
+    try:
+        _one_blas_thread()
+    except Exception as exc:
+        print(f"warning: BLAS threads of a replication worker not capped: {exc!r}",
+              file=sys.stderr)
+
+
+def _one_blas_thread():
+    """Cap every OpenBLAS loaded in the process at one thread, so that one
+    worker per CPU fills the CPUs without each also running a BLAS thread per
+    CPU."""
+    import ctypes
+    with open("/proc/self/maps", "rb") as fh:    # paths are bytes, not always UTF-8
+        fields = [line.split(None, 5) for line in fh]
+    paths = {os.fsdecode(f[5].strip()) for f in fields
+             if len(f) == 6 and b"openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, UnicodeDecodeError):    # not a library; the latter for a non-UTF-8 path
+            continue
+        setter = next((getattr(lib, n) for n in _BLAS_SETTERS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _in_workers(workers, job, seeds):
+    """[_replicate(seed, job) for seed in seeds], run by forked worker
+    processes that inherit job. Results are read in seed order, so the first
+    error raised is that of the lowest failing seed; the seeds not yet started
+    are then dropped. A worker that dies (killed by the OOM killer, say) is a
+    StabilityError rather than a wait without end."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_worker_init, initargs=(job,))
+    try:
+        return list(pool.map(_replicate, seeds))
+    except BrokenProcessPool as exc:
+        raise StabilityError(f"a replication worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def aggregate_modesets(modesets, radius):
     """Cluster per-replication modes; returns cluster summaries in
     descending density of each cluster's highest member."""
@@ -267,16 +354,20 @@ def _run(exp, doc, base_dir):
     seeds = split_seeds(exp.seed, R + 1)
     K, polytope = _resolve_capital(exp, model, seeds[0])
 
+    target = ConditionalTarget(model, K)
+    job = (model, K, exp, polytope, target)
+    workers = _workers(R)
+    if workers == 1:
+        results = map(partial(_replicate, job=job), seeds[1:])
+    else:
+        results = _in_workers(workers, job, seeds[1:])
     rep_samples = []
     rep_info = []
     modesets = []
-    target = ConditionalTarget(model, K)
-    for r in range(R):
-        samples, info = _run_replication(model, K, exp, polytope, seeds[r + 1])
+    for r, (samples, info, ms) in enumerate(results):
         rep_samples.append(samples)
         rep_info.append(info)
-        if exp.mean_shift is not None:
-            ms = mean_shift_modes(samples[:, :-1], target, exp.mean_shift)
+        if ms is not None:
             if ms.convergence_warning:
                 warnings.append(f"replication {r}: mean-shift convergence below 80%")
             modesets.append(ms)
@@ -354,8 +445,19 @@ def _run(exp, doc, base_dir):
 # Reports on disk
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _created(path, newline=None):
+    """path opened for writing text; an OSError is raised as a DataError
+    that names the path."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:    # a directory, say
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header, rows, fmt="%.17g"):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _created(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -370,7 +472,7 @@ def write_report(report, artifacts, exp, config_hash, out_dir):
         "seed": exp.seed,
         "versions": {"alloc_lab": __version__, "numpy": np.__version__},
     }
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with _created(os.path.join(out_dir, "report.json")) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -407,10 +509,22 @@ def run_experiment(config_path, output=None):
     doc, config_hash = _read_config(config_path)
     exp = validate_config(doc)
     base_dir = os.path.dirname(os.path.abspath(config_path))
+    out_dir = _output_dir(base_dir, output or exp.output, "--output" if output else "output")
     report, artifacts, warnings = _run(exp, doc, base_dir)
-    write_report(report, artifacts, exp, config_hash,
-                 os.path.join(base_dir, output or exp.output))
+    write_report(report, artifacts, exp, config_hash, out_dir)
     return 2 if warnings else 0
+
+
+def _output_dir(base_dir, output, key):
+    """The report directory output, taken from base_dir; refused naming key
+    unless it is a directory or its nearest existing ancestor is one."""
+    def makeable(path):
+        while not os.path.exists(path) and os.path.dirname(path) != path:
+            path = os.path.dirname(path)
+        return os.path.isdir(path)
+
+    out_dir = os.path.join(base_dir, output)
+    return checked(out_dir, key, makeable, "a directory or a path where one can be made")
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +579,25 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
                 break
             rnum += 1
         raise DataError(f"row {rnum + 2}: non-finite cell")
-    if flip is not None:
-        d = data.shape[1]
-        checked(flip, "flip", lambda f: isinstance(f, (list, tuple))
-                and all(_int_at_least(j, -d) and j < d for j in f),
-                f"a list of column indices in [{-d}, {d})")
-        for j in flip:
-            data[:, j] = -data[:, j]
+    data = _flipped(data, flip, "flip")
     checked(resample_n, "resample_n", *or_null(integer(0)))
     if resample_n:
         rng = np.random.default_rng(seed)
         data = data[rng.integers(0, data.shape[0], size=resample_n)]
     return data, len(dropped)
+
+
+def _flipped(data, flip, key):
+    """data with each column listed in flip negated, once per listing; a flip
+    that is neither None nor a list of column indices is refused naming key."""
+    if flip is not None:
+        d = data.shape[1]
+        checked(flip, key, lambda f: isinstance(f, (list, tuple))
+                and all(_int_at_least(j, -d) and j < d for j in f),
+                f"a list of column indices in [{-d}, {d})")
+        for j in flip:
+            data[:, j] = -data[:, j]
+    return data
 
 
 def _count_lines(fh):
@@ -548,9 +669,10 @@ def export_plotdata(report_dir, kind, out_path):
         data, _ = ingest_csv(src)
         _write_csv(out_path, ["x1", "x2"], [list(map(float, r[:2])) for r in data])
     else:
-        with open(src, "r", encoding="utf-8") as fh, \
-                open(out_path, "w", encoding="utf-8") as out:
-            out.write(fh.read())
+        with open(src, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with _created(out_path) as out:
+            out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +722,10 @@ def main(argv=None):
             return 0
         if args.verb == "check":
             doc, digest = _read_config(args.config)
-            _model(validate_config(doc), doc, os.path.dirname(os.path.abspath(args.config)))
+            exp = validate_config(doc)
+            base_dir = os.path.dirname(os.path.abspath(args.config))
+            _output_dir(base_dir, exp.output, "output")
+            _model(exp, doc, base_dir)
             print(f"config ok (sha256 {digest[:12]})")
             return 0
     except AllocLabError as exc:

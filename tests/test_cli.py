@@ -2,7 +2,9 @@
 import csv
 import json
 import os
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from alloc_lab.cli import (
     run_pipeline,
     validate_config,
 )
-from alloc_lab.errors import AllocLabError, ConfigurationError, DataError, NotAvailableError
+from alloc_lab.errors import (
+    AllocLabError,
+    ConfigurationError,
+    DataError,
+    EfficiencyError,
+    NotAvailableError,
+)
 from alloc_lab.modes import ModeSet
 
 from conftest import REF_CORR
@@ -256,6 +264,13 @@ LOMAX_PAIR = {
     ({"sampler": {"method": "slab", "n": 29}, "modes": {"enabled": False}}, "sampler.n"),
     ({"model": {"kind": "elliptical", "mu": [0.0] * 5, "sigma": np.eye(5).tolist()},
       "sampler": {"method": "slab", "n": 35}}, "sampler.n"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "fund"],
+                "flip": ["x"]}}, "model.flip"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "fund"],
+                "flip": [2]}}, "model.flip"),
+    # the report directory: the config file itself, or a path below it
+    ({"output": "cfg.json"}, "output"),
+    ({"output": "cfg.json/out"}, "output"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -362,11 +377,14 @@ def test_pipeline_hmc_with_pilot_mass(tmp_path):
 def test_pipeline_hmc_draws_one_pilot_per_replication(tmp_path, monkeypatch):
     import alloc_lab.cli
     import alloc_lab.samplers
-    calls = []
+    # one line per call, in a file, so that calls in worker processes count too
+    calls = tmp_path / "calls"
+    calls.touch()
     original = alloc_lab.samplers.slab_sample
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        with open(calls, "a") as fh:
+            fh.write("slab_sample\n")
         return original(*args, **kwargs)
 
     for module in (alloc_lab.cli, alloc_lab.samplers):
@@ -377,7 +395,7 @@ def test_pipeline_hmc_draws_one_pilot_per_replication(tmp_path, monkeypatch):
                           modes={"enabled": False})
     report, _, _ = run_pipeline(doc)
     assert report["replications"] == 2
-    assert len(calls) == 2
+    assert len(calls.read_text().splitlines()) == 2
 
 
 def test_pipeline_levelset_artifact(tmp_path):
@@ -724,6 +742,37 @@ def test_main_names_an_unreadable_file(tmp_path, capsys, verb, content):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [True, False], ids=["--output", "output"])
+def test_main_run_refuses_an_output_file_before_sampling(tmp_path, capsys, monkeypatch, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path, _ = small_config(tmp_path, replications=1, **({} if flag else {"output": "taken"}))
+
+    def no_draw(*args):
+        raise AssertionError("sampled before the output path was checked")
+
+    monkeypatch.setattr(cli, "_run_replication", no_draw)
+    assert main(["run", path] + (["--output", str(taken)] if flag else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + ("--output" if flag else "output")) and str(taken) in err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("kind", ["scatter", "levelset", "chain-trace"])
+def test_main_export_to_a_directory_names_it(tmp_path, capsys, kind):
+    path, _ = small_config(tmp_path, replications=1,
+                           sampler={"method": "mh", "chain_length": 200},
+                           modes={"enabled": False},
+                           levelset={"ranges": [[-2.0, 6.0], [-2.0, 6.0]],
+                                     "level": 0.0004, "resolution": 16})
+    res = tmp_path / "res"
+    assert main(["run", path, "--output", str(res)]) == 0
+    capsys.readouterr()
+    assert main(["export", str(res), "--kind", kind, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(tmp_path) in err
+
+
 def test_main_error_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -753,3 +802,113 @@ def test_shipped_config_reproduces_table(tmp_path, name):
             shipped = fh.read()
         with open(tmp_path / fname, "rb") as fh:
             assert fh.read() == shipped, fname
+
+
+# ---------------------------------------------------------------------------
+# Replications in worker processes
+# ---------------------------------------------------------------------------
+
+def test_worker_errors_reach_main_like_in_process_ones(tmp_path, capsys, monkeypatch):
+    path, doc = small_config(tmp_path, replications=3)
+    run = cli._run_replication
+
+    def thin_after_first(model, K, exp, polytope, seed):
+        # split_seeds gives replication r the spawn key (r + 1,)
+        if seed.spawn_key[-1] > 1:
+            raise EfficiencyError(f"slab too thin at seed {seed.spawn_key}", hit_rate=0.0)
+        return run(model, K, exp, polytope, seed)
+
+    # the workers are forked, so they see the patched function
+    monkeypatch.setattr(cli, "_run_replication", thin_after_first)
+    seen = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda R: workers)
+        with pytest.raises(EfficiencyError) as info:
+            run_pipeline(doc, str(tmp_path))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        seen.append((type(info.value), str(info.value), info.value.hit_rate, err))
+    assert seen[0] == seen[1]
+    assert seen[0][1:] == ("slab too thin at seed (2,)", 0.0,
+                           "error: slab too thin at seed (2,)\n")
+
+
+M4_MODEL = {
+    "kind": "margin_copula",
+    "margins": [{"type": "lomax", "shape": s, "scale": 5.0} for s in (2.5, 2.75, 3.0)],
+    "copula": "student_t",
+    "nu": 5.0,
+    "corr": [[1.0, -0.5, 0.5], [-0.5, 1.0, -0.5], [0.5, -0.5, 1.0]],
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": M4_MODEL, "capital": {"rule": "fixed", "K": 40.0},
+     "sampler": {"method": "slab", "n": 100, "delta": 1.0}, "replications": 3,
+     "levelset": {"ranges": [[0.0, 40.0], [0.0, 40.0]], "resolution": 32, "level": 2e-6}},
+    {"sampler": {"method": "mh", "chain_length": 400}, "replications": 2},
+], ids=["slab-m4", "mh"])
+def test_worker_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch, overrides):
+    path, _ = small_config(tmp_path, **overrides)
+    codes, outputs = [], []
+    for workers in (1, 2):
+        # forced, whatever the number of usable CPUs
+        monkeypatch.setattr(cli, "_workers", lambda R: workers)
+        out = tmp_path / f"workers-{workers}"
+        codes.append(main(["run", path, "--output", str(out)]))
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert codes[0] == codes[1]
+    assert set(outputs[0]) >= {"report.json", "table.csv", "samples.csv"}
+    assert ("levelset.csv" if "levelset" in overrides else "chain.csv") in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of waiting without end, when the block outlasts seconds
+    (forked children do not inherit the alarm)."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_dead_worker_ends_run_with_an_error(tmp_path, capsys, monkeypatch):
+    path, _ = small_config(tmp_path, replications=3)
+    parent = os.getpid()
+    run = cli._run_replication
+
+    def killed_at_second(model, K, exp, polytope, seed):
+        if seed.spawn_key[-1] == 2 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)    # as the OOM killer would
+        return run(model, K, exp, polytope, seed)
+
+    monkeypatch.setattr(cli, "_run_replication", killed_at_second)
+    monkeypatch.setattr(cli, "_workers", lambda R: 2)
+    with deadline(120):
+        assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a replication worker process died") and "Traceback" not in err
+
+
+def test_workers_start_with_a_mapped_file_whose_path_is_not_utf8(tmp_path, capfd, monkeypatch):
+    import mmap
+    path, _ = small_config(tmp_path, replications=2, modes={"enabled": False})
+    # an "openblas" name, so the BLAS cap also tries, and fails, to load it
+    odd = os.path.join(os.fsencode(tmp_path), b"\xff-openblas.so")
+    with open(odd, "wb") as fh:
+        fh.write(b"not a library\n")
+    monkeypatch.setattr(cli, "_workers", lambda R: 2)
+    with open(odd, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), \
+            deadline(120):
+        # the forked workers inherit the mapping and read it in /proc/self/maps
+        assert main(["run", path, "--output", str(tmp_path / "res")]) == 0
+    # the workers' stderr: their BLAS cap read the maps without failing
+    assert "warning" not in capfd.readouterr().err
