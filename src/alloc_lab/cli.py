@@ -509,7 +509,12 @@ def run_experiment(config_path, output=None):
     doc, config_hash = _read_config(config_path)
     exp = validate_config(doc)
     base_dir = os.path.dirname(os.path.abspath(config_path))
-    out_dir = _output_dir(base_dir, output or exp.output, "--output" if output else "output")
+    # --output, a command-line path, is taken from the working directory;
+    # the config's own output key from the config file's directory
+    if output:
+        out_dir = _output_dir(os.getcwd(), output, "--output")
+    else:
+        out_dir = _output_dir(base_dir, exp.output, "output")
     report, artifacts, warnings = _run(exp, doc, base_dir)
     write_report(report, artifacts, exp, config_hash, out_dir)
     return 2 if warnings else 0

@@ -446,6 +446,9 @@ class EllipticalModel:
         self.generator = generator
         self.d = self.mu.size
         self.log_c = log_norm_const(generator, self.d)
+        # log_c - 0.5 log_det + log_g adds left to right, so folding the
+        # first two terms into one constant keeps every bit
+        self._log_norm = self.log_c - 0.5 * self.dispersion.log_det
 
     def half_maha(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -455,7 +458,7 @@ class EllipticalModel:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         t = self.half_maha(x)
-        out = self.log_c - 0.5 * self.dispersion.log_det + self.generator.log_g(t, self.d)
+        out = self._log_norm + self.generator.log_g(t, self.d)
         return float(out[0]) if single else out
 
     def grad_logpdf(self, x):
@@ -466,11 +469,12 @@ class EllipticalModel:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ShapeError("gradient is evaluated at a single point")
-        w = np.linalg.solve(self.dispersion.chol, (x - self.mu)[:, None])
-        t = 0.5 * np.sum(w * w, axis=0)
-        logp = self.log_c - 0.5 * self.dispersion.log_det + self.generator.log_g(t, self.d)
-        dlog_g = float(self.generator.dlog_g(t[0], self.d))
-        return float(logp[0]), dlog_g * np.linalg.solve(self.dispersion.chol.T, w[:, 0])
+        w = np.linalg.solve(self.dispersion.chol, (x - self.mu)[:, None])[:, 0]
+        t = 0.5 * float(np.add.reduce(w * w))
+        # a generator maps a float through the same ufunc loops as a 1-element array
+        logp = float(self._log_norm + self.generator.log_g(t, self.d))
+        dlog_g = float(self.generator.dlog_g(t, self.d))
+        return logp, dlog_g * np.linalg.solve(self.dispersion.chol.T, w)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.d)) @ self.dispersion.chol.T
@@ -848,9 +852,9 @@ def empirical_var(samples, p):
         raise ParameterError("need 0 < p < 1")
     if n < 1.0 / (1.0 - p):
         raise SampleSizeError(f"need at least {math.ceil(1.0 / (1.0 - p))} samples")
-    s = np.sort(samples)
     k = max(int(math.ceil(n * p)), 1)
-    return float(s[k - 1])
+    # the k-th smallest by selection; np.partition copies, as np.sort did
+    return float(np.partition(samples, k - 1)[k - 1])
 
 
 def empirical_es(samples, p):

@@ -318,22 +318,35 @@ MAX_REFLECTIONS = 32
 
 
 def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
-    """Straight-line drift with specular reflection at the first crossing."""
+    """Straight-line drift with specular reflection at the first crossing.
+
+    The wall hit is the first of the smallest times max(b - a'x, 0) / a'p over
+    the walls the velocity moves towards (a'p > 0), a NaN time first of all,
+    as np.argmin picks it; the step reflects when that time is below dt.
+    """
+    bs = b.tolist()
     for _ in range(max_reflections + 1):
-        ap = A @ p
-        moving_out = ap > 0.0
-        if not moving_out.any():
+        ap = (A @ p).tolist()
+        out = [j for j, v in enumerate(ap) if v > 0.0]
+        if not out:
             return x + dt * p, p, True
-        # time to each wall the velocity moves towards (ap > 0 there)
-        tau = np.full(ap.shape, np.inf)
-        np.divide(np.maximum(b - A @ x, 0.0), ap, out=tau, where=moving_out)
-        i = int(np.argmin(tau))
-        if tau[i] >= dt:
+        ax = (A @ x).tolist()
+        i, tau = 0, math.inf
+        for j in out:
+            gap = bs[j] - ax[j]
+            # np.maximum(gap, 0.0): NaN stays, a zero of either sign gives +0
+            t = (gap if gap > 0.0 or gap != gap else 0.0) / ap[j]
+            if t != t:
+                i, tau = j, t
+                break
+            if t < tau:
+                i, tau = j, t
+        if tau >= dt:
             return x + dt * p, p, True
-        x = x + tau[i] * p
+        x = x + tau * p
         a = A[i]
         p = p - 2.0 * (a @ p) / (a @ a) * a
-        dt = dt - tau[i]
+        dt = dt - tau
     return x, p, False
 
 
@@ -391,33 +404,49 @@ def hmc_reflect_chain(target, polytope, cfg):
 
     burn = _burn_in(cfg)
     A, b, sqrt_mass = polytope.A, polytope.b, np.sqrt(mass)
+    half = 0.5 * eps
     states = np.empty((cfg.chain_length, d))
     accepted = 0
     divergent = 0
+    # Calls kept as numpy/BLAS/LAPACK calls because the chain's bits depend on
+    # them.  Python float arithmetic gave other last bits (x86-64, numpy 2.4's
+    # bundled OpenBLAS, which uses fused multiply-adds; normal random inputs):
+    #   A @ p, A @ x (gemv, 6 x 2 A)  33,864 of 120,000 entries against a0*p0 + a1*p1
+    #                                 (0 for core polytopes, whose A is 0/+-1)
+    #   a @ p, a @ a, p_full @ (p_full / mass) (dot)   4,863 of 20,000
+    #   np.linalg.solve with the Cholesky factor, both calls in
+    #   EllipticalModel.logpdf_and_grad   8,417 of 20,000 points against
+    #                                     forward substitution
+    #   np.log1p in the Student-t generator   1,390 of 20,000 against math.log1p
+    # The rest runs as single IEEE operations (+ - * / and comparisons) on
+    # Python floats, in numpy's order: a sum of fewer than 8 terms from +0.0
+    # left to right (ConditionalTarget._lift_one), np.maximum and the
+    # first-minimum rule of np.argmin (_advance_with_reflection).
+    # p - h * (-g) is p + h * g bit for bit: x - y is x + (-y), and
+    # h * (-g) is -(h * g).
     for i in range(cfg.chain_length):
         p = rng.standard_normal(d) * sqrt_mass
         h0 = -lx + 0.5 * float(p @ (p / mass))
-        q, pq = x, p - 0.5 * eps * (-gx)
+        q, pq = x, p + half * gx
         ok = True
         for step in range(steps):
-            q, pq, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
-            pq = pq * mass
-            if not ok or not np.isfinite(q).all():
+            q, v, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
+            if not ok or not all(map(math.isfinite, q.tolist())):
                 ok = False
                 break
+            pq = v * mass
             lq, gq = target.log_density_and_grad(q)
-            if gq is None or not np.isfinite(gq).all():
+            if gq is None or not all(map(math.isfinite, gq.tolist())):
                 ok = False
                 break
-            grad = -gq
             # the energy at the full-step momentum; stopping at the first
             # step past the bound keeps a diverging trajectory from overflowing
-            p_full = pq - 0.5 * eps * grad
+            p_full = pq + half * gq
             h1 = -lq + 0.5 * float(p_full @ (p_full / mass))
             ok = math.isfinite(h1) and (h1 - h0) < 1000.0
             if not ok:
                 break
-            pq = pq - eps * grad if step < steps - 1 else p_full
+            pq = pq + eps * gq if step < steps - 1 else p_full
         if not ok:
             divergent += 1
         elif np.log(rng.uniform()) < h0 - h1:

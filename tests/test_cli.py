@@ -680,6 +680,24 @@ def test_main_run_writes_report(tmp_path):
     assert (tmp_path / "res" / "samples.csv").exists()
 
 
+def test_main_run_output_bases(tmp_path, monkeypatch):
+    # --output is taken from the working directory, the config's output key
+    # ("out") from the config file's directory
+    config_dir, work = tmp_path / "configs", tmp_path / "work"
+    config_dir.mkdir()
+    work.mkdir()
+    path, _ = small_config(config_dir, replications=1)
+    monkeypatch.chdir(work)
+    assert main(["run", path, "--output", "rel"]) == 0
+    assert (work / "rel" / "report.json").exists()
+    assert not (config_dir / "rel").exists()
+    assert main(["run", path]) == 0
+    assert (config_dir / "out" / "report.json").exists()
+    assert not (work / "out").exists()
+    assert ((work / "rel" / "report.json").read_bytes()
+            == (config_dir / "out" / "report.json").read_bytes())
+
+
 def test_main_run_determinism_bytes(tmp_path):
     path, _ = small_config(tmp_path, replications=1)
     assert main(["run", path, "--output", str(tmp_path / "r1")]) == 0

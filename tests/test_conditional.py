@@ -117,6 +117,45 @@ def test_fused_evaluation_is_bitwise_the_separate_one(m1_model):
             assert np.array_equal(g, g_ref)
 
 
+def _t_joint(d):
+    corr = 0.4 * np.eye(d) + 0.6 / d
+    return al.EllipticalJoint(al.EllipticalModel(np.zeros(d), al.DispersionMatrix(corr),
+                                                 al.StudentTGen(5.0)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 8])
+def test_single_point_lift_is_bitwise_lift(d):
+    # d = 8 sums 8 terms, which numpy adds pairwise: the point goes through lift
+    K = 8.046
+    target = al.ConditionalTarget(_t_joint(d), K)
+    rng = np.random.default_rng(40 + d)
+    scale = 10.0 ** rng.integers(-3, 4, size=(3000, 1))
+    huge = 1e16 * rng.standard_normal((300, d - 1))
+    pts = np.concatenate([scale * rng.standard_normal((3000, d - 1)),
+                          huge, huge + rng.standard_normal((300, d - 1)),
+                          np.zeros((1, d - 1)), np.full((1, d - 1), -0.0)])
+    pinned = absorbed = 0
+    for xp in pts:
+        one, ref = target._lift_one(xp), target.lift(xp)
+        assert one.shape == ref.shape == (d,)
+        assert one.tobytes() == ref.tobytes()
+        first = np.append(xp, K - xp.sum())
+        s = first.sum()
+        pinned += s != K
+        absorbed += s != K and first[-1] + (K - s) == first[-1]
+    # the cases where the pin moves the last coordinate and where rounding
+    # absorbs its correction both occur
+    assert pinned > 100 and absorbed > 10
+    for bad in (np.nan, np.inf, -np.inf):
+        xp = np.full(d - 1, 1.0)
+        xp[-1] = bad
+        with pytest.raises(ParameterError, match="could not pin row sums") as info:
+            target._lift_one(xp)
+        with pytest.raises(ParameterError) as ref_info:
+            target.lift(xp)
+        assert str(info.value) == str(ref_info.value)
+
+
 def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):
     target = al.ConditionalTarget(m1_model, 40.0)
 

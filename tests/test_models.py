@@ -315,6 +315,24 @@ def test_empirical_var_order_statistic():
     assert al.empirical_es(s, 0.95) >= al.empirical_var(s, 0.95)
 
 
+def test_empirical_var_is_the_sorted_order_statistic():
+    # k = ceil(n p) runs from 1 to n - 1: n >= 1 / (1 - p) keeps n p <= n - 1
+    rng = np.random.default_rng(60)
+    for n in (2, 3, 10, 101, 5000):
+        ties = rng.integers(0, 4, size=n) + 0.5 * rng.integers(0, 2, size=n)
+        x = np.where(rng.uniform(size=n) < 0.5, ties, rng.standard_normal(n))
+        before = x.copy()
+        ks = set()
+        for p in (0.5 / n, 0.3, 0.5, 0.95, 0.99, (n - 1.5) / n):
+            if n < 1.0 / (1.0 - p):
+                continue
+            k = max(math.ceil(n * p), 1)
+            ks.add(k)
+            assert al.empirical_var(x, p) == np.sort(x)[k - 1]
+        assert {1, n - 1} <= ks
+        assert x.tobytes() == before.tobytes()
+
+
 def test_empirical_var_errors():
     with pytest.raises(SampleSizeError):
         al.empirical_var(np.arange(5.0), 0.99)

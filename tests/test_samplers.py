@@ -1,6 +1,8 @@
 """Slab rejection sampling, Metropolis-Hastings, polytopes, reflective HMC."""
+import json
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from conftest import LOMAX_CORRS, REF_CORR, lomax_t_model, normal_joint
 
 
 RHO_HALF = np.array([[1.0, 0.5], [0.5, 1.0]])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +373,111 @@ def test_reflection_budget_exhaustion():
     b = np.array([0.01, 0.01])
     _, _, ok = _advance_with_reflection(np.zeros(1), np.array([5.0]), 1.0, A, b, 3)
     assert not ok
+
+
+def _advance_reference(x, p, dt, A, b, max_reflections=32):
+    """The array form of `_advance_with_reflection` that the chains were
+    recorded with, kept as the reference for its bits."""
+    for _ in range(max_reflections + 1):
+        ap = A @ p
+        moving_out = ap > 0.0
+        if not moving_out.any():
+            return x + dt * p, p, True
+        tau = np.full(ap.shape, np.inf)
+        np.divide(np.maximum(b - A @ x, 0.0), ap, out=tau, where=moving_out)
+        i = int(np.argmin(tau))
+        if tau[i] >= dt:
+            return x + dt * p, p, True
+        x = x + tau[i] * p
+        a = A[i]
+        p = p - 2.0 * (a @ p) / (a @ a) * a
+        dt = dt - tau[i]
+    return x, p, False
+
+
+def _assert_same_advance(x, p, dt, A, b, budget=32):
+    got = _advance_with_reflection(x, p, dt, A, b, budget)
+    ref = _advance_reference(x, p, dt, A, b, budget)
+    assert got[2] == ref[2]
+    for g, r in zip(got[:2], ref[:2]):
+        if np.isfinite(r).all():
+            assert g.tobytes() == r.tobytes()
+        else:
+            np.testing.assert_array_equal(g, r)
+    return ref
+
+
+def _walk(A, b, x, rng, n, dt_scale):
+    """n advances from x with fresh normal velocities, each from where the
+    last one ended; returns how many reflected."""
+    reflected = 0
+    for _ in range(n):
+        p = rng.standard_normal(x.size)
+        x_new, p_new, ok = _assert_same_advance(x, p, dt_scale * rng.exponential(), A, b)
+        reflected += not np.array_equal(p_new, p)
+        if ok:
+            x = x_new
+    return reflected
+
+
+def test_advance_is_bitwise_the_array_form_on_core_t5():
+    with open(CONFIG_DIR / "core_t5.cfg", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    model = al.model_from_config(doc["model"])
+    poly, _ = al.core_polytope(model, doc["capital"]["p"], doc["capital"]["n_cal"], 5)
+    rng = np.random.default_rng(50)
+    # the configured trajectory length 0.105 * 24, then long drifts in a
+    # budget of 3 reflections, which some run out of
+    x = poly.interior_point()
+    assert _walk(poly.A, poly.b, x, rng, 3000, 0.105 * 24) > 1000
+    for _ in range(200):
+        p = rng.standard_normal(2)
+        _, _, ok = _assert_same_advance(x, p, 100.0, poly.A, poly.b, 3)
+        assert not ok
+
+
+def test_advance_is_bitwise_the_array_form_on_random_polytopes():
+    # walls around a centre c: b = A c + slack keeps c inside
+    rng = np.random.default_rng(51)
+    for dim in (1, 2, 3, 4):
+        for _ in range(5):
+            m = int(rng.integers(dim + 1, 3 * dim + 4))
+            A = rng.standard_normal((m, dim))
+            c = rng.standard_normal(dim)
+            b = A @ c + rng.exponential(size=m)
+            _walk(A, b, c, rng, 300, 1.0)
+
+
+def test_advance_is_bitwise_the_array_form_at_corners_and_edges():
+    box_A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    box_b = np.ones(4)
+    cases = [
+        # straight into the corner (1, 1): two walls tie, the first is hit
+        (np.zeros(2), np.array([1.0, 1.0]), 1.5, box_b),
+        (np.zeros(2), np.array([-1.0, -1.0]), 5.0, box_b),
+        (np.array([0.5, 0.25]), np.array([1.0, 1.5]), 3.0, box_b),
+        # parallel to two walls: only one wall is moved towards
+        (np.zeros(2), np.array([1.0, 0.0]), 4.5, box_b),
+        (np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.5, box_b),
+        # on a wall and just past it: time 0
+        (np.array([1.0, 0.0]), np.array([1.0, 0.5]), 0.5, box_b),
+        (np.array([1.0 + 1e-12, 0.0]), np.array([1.0, 0.5]), 0.5, box_b),
+        # a wall at -0.0 through the origin: np.maximum gives +0
+        (np.zeros(2), np.array([1.0, 0.5]), 0.5, np.array([-0.0, 1.0, 1.0, 1.0])),
+        # still, and exactly the time to the wall
+        (np.zeros(2), np.zeros(2), 1.0, box_b),
+        (np.zeros(2), np.array([2.0, 0.0]), 0.5, box_b),
+        # a drift that runs out of its budget
+        (np.zeros(2), np.array([3.0, 1.0]), 1e3, box_b),
+    ]
+    for x, p, dt, b in cases:
+        _assert_same_advance(x, p, dt, box_A, b)
+    with np.errstate(all="ignore"):
+        for p in ([np.inf, 0.0], [np.nan, 1.0], [1e308, 1e308]):
+            _assert_same_advance(np.zeros(2), np.array(p), 0.5, box_A, box_b)
+        # a NaN time is taken first, as np.argmin takes it
+        for x in ([np.inf, 0.0], [np.nan, 0.0]):
+            _assert_same_advance(np.array(x), np.array([1.0, 1.0]), 0.5, box_A, box_b)
 
 
 def test_hmc_free_space_recovers_conditional(pair_target):
