@@ -33,7 +33,6 @@ from .conditional import (
     comonotone_allocation,
     complete_mix_dirichlet,
     conditional_support,
-    conditional_target,
     countermonotone_pair_sampler,
     elliptical_condition,
 )
@@ -52,7 +51,6 @@ from .modes import MeanShiftConfig, ModeSet, mean_shift_modes, scenario_weights
 from .allocation import (
     Allocation,
     ScenarioSet,
-    bootstrap_se,
     core_polytope,
     euler_allocation,
     mla,

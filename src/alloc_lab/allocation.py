@@ -12,10 +12,8 @@ from .errors import (
     RangeError,
     SampleSizeError,
     ShapeError,
-    StabilityError,
 )
-from .models import empirical_var, split_seeds
-from .modes import scenario_weights
+from .models import empirical_var
 from .samplers import Polytope
 
 
@@ -117,20 +115,6 @@ class ScenarioSet:
                 raise ParameterError("scenarios must be pairwise distinct")
 
 
-def scenarios_from_modes(modeset, model, min_weight=0.0):
-    """ScenarioSet from a ModeSet with plausibility weights; renormalizes after
-    discarding low-weight modes and reports the discarded mass."""
-    w = scenario_weights([model.logpdf(loc) for loc in modeset.locations])
-    keep = w >= min_weight
-    discarded = float(w[~keep].sum())
-    if not keep.any():
-        raise ParameterError("all scenarios fell below the weight floor")
-    w = w[keep] / w[keep].sum()
-    w[-1] = 1.0 - w[:-1].sum()
-    return ScenarioSet(modeset.locations[keep], w, K=modeset.K,
-                       sum_tol=1e-6 * max(1.0, abs(modeset.K))), discarded
-
-
 def multimodality_adjust(scenarios, loadings, baseline=None):
     """Baseline plus the nonnegative scenario-variability loading.
 
@@ -182,23 +166,3 @@ def core_polytope(model, p, n_cal, seed):
     poly = Polytope(constraints, K, d)
     return poly, K
 
-
-def bootstrap_se(data, estimator, B, seed):
-    """Componentwise SD of the estimator over B row resamples."""
-    if B < 50:
-        raise SampleSizeError("need B >= 50 bootstrap replicates")
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    n = data.shape[0]
-    seeds = split_seeds(seed, B)
-    results = []
-    failures = 0
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        idx = rng.integers(0, n, size=n)
-        try:
-            results.append(np.asarray(estimator(data[idx]), dtype=float))
-        except Exception:
-            failures += 1
-    if failures > 0.1 * B:
-        raise StabilityError(f"{failures}/{B} bootstrap replicates failed")
-    return np.std(np.array(results), axis=0, ddof=1)

@@ -216,35 +216,36 @@ def _resolve_capital(exp, model, seed):
 
 
 def _run_replication(model, K, exp, polytope, seed):
-    """One replication: conditional samples plus optional chain diagnostics."""
+    """(samples, ess, entry) of one replication: ess is None for slab draws
+    and the chain's per-coordinate ESS with their mean appended otherwise;
+    entry is the slab hit fraction, or the chain's report dict."""
     if exp.method == "slab":
         samples, frac = slab_sample(model, K, exp.sampler, seed)
-        return samples, {"slab_acceptance": frac}
+        return samples, None, frac
     target = ConditionalTarget(model, K)
     cfg = replace(exp.sampler, seed=seed)
     if exp.method == "mh":
         chain, diag = mh_chain(target, cfg)
     else:
         chain, diag = hmc_reflect_chain(target, polytope, cfg)
-    info = {"chain": {
+    entry = {
         "acceptance": diag.acceptance_rate,
         "lag1": [float(v) for v in diag.lag1],
         "ess": [float(v) for v in diag.ess],
-    }}
-    info["ess"] = np.append(diag.ess, float(np.mean(diag.ess)))
-    samples = target.lift(chain)
-    return samples, info
+    }
+    return target.lift(chain), np.append(diag.ess, float(np.mean(diag.ess))), entry
 
 
 def _replicate(seed, job=None):
-    """(samples, info, mode set or None) of the replication drawn from seed;
-    job is (model, K, exp, polytope, target), that of this worker when None."""
+    """(samples, ess, entry, mode set or None) of the replication drawn from
+    seed; job is (model, K, exp, polytope, target), that of this worker when
+    None."""
     model, K, exp, polytope, target = _worker_job if job is None else job
-    samples, info = _run_replication(model, K, exp, polytope, seed)
+    samples, ess, entry = _run_replication(model, K, exp, polytope, seed)
     ms = None
     if exp.mean_shift is not None:
         ms = mean_shift_modes(samples[:, :-1], target, exp.mean_shift)
-    return samples, info, ms
+    return samples, ess, entry, ms
 
 
 def _workers(R):
@@ -348,7 +349,6 @@ def run_pipeline(doc, base_dir="."):
 
 def _run(exp, doc, base_dir):
     """run_pipeline of the Experiment exp of doc."""
-    warnings = []
     model = _model(exp, doc, base_dir)
     R = exp.replications
     seeds = split_seeds(exp.seed, R + 1)
@@ -361,19 +361,12 @@ def _run(exp, doc, base_dir):
         results = map(partial(_replicate, job=job), seeds[1:])
     else:
         results = _in_workers(workers, job, seeds[1:])
-    rep_samples = []
-    rep_info = []
-    modesets = []
-    for r, (samples, info, ms) in enumerate(results):
-        rep_samples.append(samples)
-        rep_info.append(info)
-        if ms is not None:
-            if ms.convergence_warning:
-                warnings.append(f"replication {r}: mean-shift convergence below 80%")
-            modesets.append(ms)
+    rep_samples, rep_ess, entries, rep_modes = zip(*results)
+    modesets = [] if exp.mean_shift is None else list(rep_modes)
+    warnings = [f"replication {r}: mean-shift convergence below 80%"
+                for r, ms in enumerate(modesets) if ms.convergence_warning]
 
-    eulers = [euler_allocation(s, K, ess=info.get("ess"))
-              for s, info in zip(rep_samples, rep_info)]
+    eulers = [euler_allocation(s, K, ess=ess) for s, ess in zip(rep_samples, rep_ess)]
     euler_reps = np.array([e.a for e in eulers])
     euler_mean = euler_reps.mean(axis=0)
     euler_se = euler_reps.std(axis=0, ddof=1) if R > 1 else eulers[0].se
@@ -426,12 +419,10 @@ def _run(exp, doc, base_dir):
         else:
             report["adjustment"] = None
 
-    chains = [i["chain"] for i in rep_info if "chain" in i]
-    if chains:
-        report["chain"] = chains[0] if R == 1 else chains
-    slabs = [i["slab_acceptance"] for i in rep_info if "slab_acceptance" in i]
-    if slabs:
-        report["slab"] = {"acceptance_fraction": float(np.mean(slabs))}
+    if exp.method == "slab":
+        report["slab"] = {"acceptance_fraction": float(np.mean(entries))}
+    else:
+        report["chain"] = entries[0] if R == 1 else list(entries)
 
     artifacts = {"samples": rep_samples[0]}
     if exp.grid is not None:
@@ -504,9 +495,11 @@ def write_report(report, artifacts, exp, config_hash, out_dir):
                    mask.reshape(mask.shape[0], -1).tolist())
 
 
-def run_experiment(config_path, output=None):
-    """Load a config, run the pipeline, write the report; returns exit code."""
-    doc, config_hash = _read_config(config_path)
+def _prepare(config_path, output=None):
+    """(doc, sha256 of its text, Experiment, config directory, report
+    directory) of a config file, each value and the report directory checked
+    before any draw."""
+    doc, digest = _read_config(config_path)
     exp = validate_config(doc)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     # --output, a command-line path, is taken from the working directory;
@@ -515,6 +508,12 @@ def run_experiment(config_path, output=None):
         out_dir = _output_dir(os.getcwd(), output, "--output")
     else:
         out_dir = _output_dir(base_dir, exp.output, "output")
+    return doc, digest, exp, base_dir, out_dir
+
+
+def run_experiment(config_path, output=None):
+    """Load a config, run the pipeline, write the report; returns exit code."""
+    doc, config_hash, exp, base_dir, out_dir = _prepare(config_path, output)
     report, artifacts, warnings = _run(exp, doc, base_dir)
     write_report(report, artifacts, exp, config_hash, out_dir)
     return 2 if warnings else 0
@@ -726,10 +725,7 @@ def main(argv=None):
             print(f"wrote {args.out}")
             return 0
         if args.verb == "check":
-            doc, digest = _read_config(args.config)
-            exp = validate_config(doc)
-            base_dir = os.path.dirname(os.path.abspath(args.config))
-            _output_dir(base_dir, exp.output, "output")
+            doc, digest, exp, base_dir, _ = _prepare(args.config)
             _model(exp, doc, base_dir)
             print(f"config ok (sha256 {digest[:12]})")
             return 0

@@ -12,21 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .errors import (
-    ConditioningError,
-    DataError,
-    ParameterError,
-    RangeError,
-    ShapeError,
-)
-from .models import (
-    DispersionMatrix,
-    EllipticalModel,
-    NormalGen,
-    ShiftedGen,
-    StudentTGen,
-    rng_from_seed,
-)
+from .errors import ConditioningError, ParameterError, RangeError, ShapeError
+from .models import DispersionMatrix, EllipticalModel, ShiftedGen, StudentTGen, rng_from_seed
 
 
 def pin_row_sums(x, K):
@@ -179,20 +166,6 @@ class ConditionalTarget:
         return (lp, g[: self.d_prime] - g[self.d_prime]) if lp > -np.inf else (lp, None)
 
 
-def conditional_target(model, K):
-    return ConditionalTarget(model, K)
-
-
-def density_at_sum(model, K, n=10 ** 6, seed=0):
-    """Kernel estimate of the aggregate density f_S(K), for reporting only."""
-    s = model.sample(n, seed).sum(axis=1)
-    sd = float(np.std(s, ddof=1))
-    iqr = float(np.subtract(*np.percentile(s, [75, 25])))
-    h = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)
-    z = (K - s) / h
-    return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
-
-
 # ---------------------------------------------------------------------------
 # Elliptical conditioning
 # ---------------------------------------------------------------------------
@@ -206,9 +179,6 @@ class EllipticalConditional:
     model: EllipticalModel
     t_df: float = None
     t_dispersion: np.ndarray = None
-
-    def logpdf(self, xp):
-        return self.model.logpdf(xp)
 
 
 def elliptical_condition(ell, K):

@@ -3,7 +3,7 @@ total positivity, and tail variation of conditional densities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, spatial
@@ -162,6 +162,16 @@ def _tp2_scan(F, G):
     return worst_up, worst_down
 
 
+def _tp2_verdict(up, down, slack):
+    """MTP2, MRR2 or neither, from the worst violations of the TP2 inequality
+    (up) and of the reversed one (down); ties count as MTP2."""
+    if up <= slack:
+        return "MTP2"
+    if down <= slack:
+        return "MRR2"
+    return "neither"
+
+
 def mtp2_check(density, grid, density2=None, slack=1e-9):
     """Exhaustive lattice check of total positivity / reverse rule of order 2.
 
@@ -173,13 +183,7 @@ def mtp2_check(density, grid, density2=None, slack=1e-9):
     F = _evaluate(density, grid)
     G = F if density2 is None else _evaluate(density2, grid)
     up, down = _tp2_scan(F, G)
-    if up <= slack:
-        verdict = "MTP2"           # ties count as MTP2
-    elif down <= slack:
-        verdict = "MRR2"
-    else:
-        verdict = "neither"
-    return TP2Report(verdict, up, down)
+    return TP2Report(_tp2_verdict(up, down, slack), up, down)
 
 
 def _sampled_tp2_verdict(f, pts_axes, budget, seed, slack):
@@ -198,13 +202,7 @@ def _sampled_tp2_verdict(f, pts_axes, budget, seed, slack):
     flo = np.asarray(f(lo), dtype=float).ravel()
     fhi = np.asarray(f(hi), dtype=float).ravel()
     diff = fx * fy - flo * fhi
-    up = float(np.max(diff))
-    down = float(np.max(-diff))
-    if up <= slack:
-        return "MTP2"
-    if down <= slack:
-        return "MRR2"
-    return "neither"
+    return _tp2_verdict(float(np.max(diff)), float(np.max(-diff)), slack)
 
 
 def mtp2_conditional_inheritance(joint, K, grid, budget=20000, seed=0, slack=1e-9):

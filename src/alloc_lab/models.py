@@ -123,9 +123,6 @@ class Margin:
     def quantile(self, p):
         raise NotImplementedError
 
-    def sample(self, n, rng):
-        return self.quantile(rng.uniform(size=n))
-
 
 @dataclass(frozen=True)
 class Lomax(Margin):
@@ -450,16 +447,15 @@ class EllipticalModel:
         # first two terms into one constant keeps every bit
         self._log_norm = self.log_c - 0.5 * self.dispersion.log_det
 
-    def half_maha(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return 0.5 * self.dispersion.maha_sq(x - self.mu)
-
     def logpdf(self, x):
+        """log f at one point x of shape (d,), as a float, or at rows of
+        shape (n, d).  The triangular solve of a batch and that of a single
+        point can round differently, so a point's value from a batch call
+        may differ in the last bit from its value alone."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        t = self.half_maha(x)
+        t = 0.5 * self.dispersion.maha_sq(x - self.mu)
         out = self._log_norm + self.generator.log_g(t, self.d)
-        return float(out[0]) if single else out
+        return float(out[0]) if x.ndim == 1 else out
 
     def grad_logpdf(self, x):
         return self.logpdf_and_grad(x)[1]
@@ -580,10 +576,17 @@ class StudentTCopula(CopulaModel):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise BoundaryError("copula density needs u in the open unit cube")
-        return special.stdtrit(self.nu, u), u
+        return special.stdtrit(self.nu, u)
+
+    def _log_t1(self, z):
+        """Log density of the univariate t_nu margin at each entry of z."""
+        nu = self.nu
+        c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
+            - 0.5 * math.log(nu * math.pi)
+        return c1 - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
 
     def logdensity(self, u):
-        z, u = self._z(u)
+        z = self._z(u)
         nu, d = self.nu, self.d
         q = self.corr.maha_sq(z)
         log_joint = (
@@ -591,24 +594,17 @@ class StudentTCopula(CopulaModel):
             - d / 2.0 * math.log(nu * math.pi) - 0.5 * self.corr.log_det
             - (nu + d) / 2.0 * np.log1p(q / nu)
         )
-        c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
-            - 0.5 * math.log(nu * math.pi)
-        log_margins = c1 - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
-        return log_joint - np.sum(log_margins, axis=1)
+        return log_joint - np.sum(self._log_t1(z), axis=1)
 
     def dlogdensity_du(self, u):
         """Gradient of log c wrt u, row-wise."""
-        z, u = self._z(u)
+        z = self._z(u)
         nu, d = self.nu, self.d
         q = self.corr.maha_sq(z)
         pz = self.corr.solve(z)
         djoint_dz = -(nu + d) / (nu + q)[:, None] * pz
         dmarg_dz = -(nu + 1.0) * z / (nu + z * z)
-        c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
-            - 0.5 * math.log(nu * math.pi)
-        log_fz = c1 - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
-        dz_du = np.exp(-log_fz)
-        return (djoint_dz - dmarg_dz) * dz_du
+        return (djoint_dz - dmarg_dz) * np.exp(-self._log_t1(z))
 
 
 class EmpiricalResampleCopula(CopulaModel):
@@ -700,16 +696,12 @@ class MarginCopula(JointModel):
     def margin_lowers(self):
         return np.array([m.lower for m in self.margins], dtype=float)
 
-    def _inside(self, x):
-        lows = self.margin_lowers()
-        return np.all(x >= lows, axis=-1)
-
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x2 = np.atleast_2d(x)
         out = np.full(x2.shape[0], -np.inf)
-        ok = self._inside(x2)
+        ok = np.all(x2 >= self.margin_lowers(), axis=-1)
         if np.any(ok):
             xs = x2[ok]
             lm = np.zeros(xs.shape[0])
@@ -828,17 +820,6 @@ class MarginCopula(JointModel):
             np.fmax(pos, 0.0, out=idx, casting="unsafe")
             lo += np.take(lower[j], idx, out=vals)
         return lo, hi
-
-
-def _fd_grad(f, x, rel=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for j in range(x.size):
-        h = rel * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        g[j] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class ModeSet:
     def __len__(self):
         return self.locations.shape[0]
 
-    @property
-    def locations_reduced(self):
-        return self.locations[:, :-1]
-
 
 def kde_logvalues(points, samples, bandwidth):
     """Log Gaussian-KDE values at `points`.

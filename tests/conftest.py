@@ -47,6 +47,18 @@ def m4_model():
     return lomax_t_model(LOMAX_CORRS["m4"])
 
 
+def _fd_grad(f, x, rel=1e-6):
+    """Central finite-difference gradient of f at x."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for j in range(x.size):
+        h = rel * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        g[j] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
 def normal_joint(sigma, mu=None):
     sigma = np.asarray(sigma, dtype=float)
     mu = np.zeros(sigma.shape[0]) if mu is None else np.asarray(mu, dtype=float)

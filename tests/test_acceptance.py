@@ -36,7 +36,7 @@ from alloc_lab.diagnostics import (
     s_concavity_check,
     superlevel_components,
 )
-from alloc_lab.models import _fd_grad, empirical_var, rng_from_seed
+from alloc_lab.models import empirical_var, rng_from_seed
 from alloc_lab.modes import MeanShiftConfig, mean_shift_modes
 from alloc_lab.samplers import (
     HMCConfig,
@@ -47,7 +47,7 @@ from alloc_lab.samplers import (
     slab_sample,
 )
 
-from conftest import REF_CORR, crossed_box_model, lomax_t_model, normal_joint
+from conftest import REF_CORR, _fd_grad, crossed_box_model, lomax_t_model, normal_joint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -100,7 +100,7 @@ def test_criterion_01_conditional_mean_oracle():
     K = calibrated_K()
     cond = elliptical_condition(model, K)
     exact = np.append(cond.mu_K, K - cond.mu_K.sum())
-    target = al.conditional_target(joint, K)
+    target = al.ConditionalTarget(joint, K)
 
     estimates = {}
     slab, _ = slab_sample(joint, K, SlabConfig(n=4000, delta=0.05), seed=1)
@@ -145,7 +145,7 @@ def test_criterion_02_t_closure_ratios():
     rng = rng_from_seed(7)
     x = cond.mu_K + rng.standard_normal((100, 2)) * 1.5
     y = cond.mu_K + rng.standard_normal((100, 2)) * 1.5
-    ours = cond.logpdf(x) - cond.logpdf(y)
+    ours = cond.model.logpdf(x) - cond.model.logpdf(y)
     theirs = ref.logpdf(x) - ref.logpdf(y)
     rel = float(np.max(np.abs(np.expm1(ours - theirs))))
     ok = rel < 1e-8
@@ -222,7 +222,7 @@ def test_criterion_04a_core_hmc():
     model = t5_model()
     joint = al.EllipticalJoint(model)
     poly, K = core_polytope(joint, 0.99, 10 ** 6, seed=5)
-    target = al.conditional_target(joint, K)
+    target = al.ConditionalTarget(joint, K)
     pilot, _ = slab_sample(joint, K, SlabConfig(n=200, standardize=False), seed=6)
     mass = 1.0 / pilot[:, :2].var(axis=0, ddof=1)
     cfg = HMCConfig(chain_length=10_000, epsilon=0.09, steps=28, seed=7,
@@ -328,7 +328,7 @@ def _slab_mode(model, K, delta, seed, n=1500):
         else model
     x, _ = slab_sample(joint, K, SlabConfig(n=n, delta=delta, standardize=False),
                        seed)
-    target = al.conditional_target(joint, K)
+    target = al.ConditionalTarget(joint, K)
     return mean_shift_modes(x[:, :-1], target).locations[0]
 
 
@@ -433,12 +433,12 @@ def test_criterion_08_adjustment():
 
 def test_criterion_09_tail_diagnostics():
     joint = al.EllipticalJoint(t5_model())
-    target = al.conditional_target(joint, 8.046)
+    target = al.ConditionalTarget(joint, 8.046)
     x = np.array([0.4, 0.3])
     rep = mrv_exponent(target, x, 2.0 * x)
     rel = abs(rep.fitted - rep.predicted) / abs(rep.predicted) \
         if rep.fitted is not None else math.inf
-    norm_rep = mrv_exponent(al.conditional_target(normal_joint(REF_CORR), 2.0),
+    norm_rep = mrv_exponent(al.ConditionalTarget(normal_joint(REF_CORR), 2.0),
                             x, 2.0 * x)
     ok = (not rep.rapid) and rel < 0.05 and norm_rep.rapid
     line = report(9, ok, f"t exponent rel err {rel:.2e}, normal rapid="

@@ -6,13 +6,11 @@ import alloc_lab as al
 from alloc_lab.allocation import (
     Allocation,
     ScenarioSet,
-    bootstrap_se,
     core_polytope,
     euler_allocation,
     mla,
     mla_with_constants,
     multimodality_adjust,
-    scenarios_from_modes,
 )
 from alloc_lab.conditional import elliptical_condition
 from alloc_lab.errors import (
@@ -21,7 +19,6 @@ from alloc_lab.errors import (
     RangeError,
     SampleSizeError,
     ShapeError,
-    StabilityError,
 )
 from alloc_lab.models import rng_from_seed
 from alloc_lab.modes import ModeSet
@@ -196,24 +193,6 @@ def test_scenario_set_validation():
         ScenarioSet(np.array([[1.0, 2.0], [1.0, 2.0]]), [0.5, 0.5])
 
 
-def test_scenarios_from_modes_filters_and_renormalizes():
-    ms = make_modeset([[2.0, 3.0, 5.0], [5.0, 3.0, 2.0], [3.0, 3.0, 4.0]], 10.0)
-
-    class Peaked:
-        d = 3
-
-        def logpdf(self, x):
-            return {2.0: 0.0, 5.0: -1.0, 3.0: -9.0}[float(np.asarray(x)[0])]
-
-    sset, discarded = scenarios_from_modes(ms, Peaked(), min_weight=0.05)
-    assert sset.scenarios.shape[0] == 2
-    assert sset.weights.sum() == 1.0
-    assert 0.0 < discarded < 0.05
-    w_expected = np.exp([0.0, -1.0])
-    np.testing.assert_allclose(sset.weights, w_expected / w_expected.sum(),
-                               rtol=1e-6)
-
-
 def test_multimodality_adjust_hand_computed():
     sc = ScenarioSet(np.array([[8.0, 2.0], [3.0, 7.0]]), [0.6, 0.4])
     base, adj, total = multimodality_adjust(sc, 1.0)
@@ -241,7 +220,7 @@ def test_multimodality_adjust_matrix_loadings_and_baseline():
 
 
 # ---------------------------------------------------------------------------
-# Core polytope and bootstrap
+# Core polytope
 # ---------------------------------------------------------------------------
 
 def test_core_polytope_normal():
@@ -269,24 +248,3 @@ def test_core_polytope_errors():
     with pytest.raises(SampleSizeError):
         core_polytope(model, 0.999, 1000, seed=0)
 
-
-def test_bootstrap_se_of_mean():
-    rng = rng_from_seed(6)
-    x = rng.normal(size=(400, 1)) * 2.0
-    se = bootstrap_se(x, lambda d: d.mean(axis=0), 200, seed=7)
-    assert abs(se[0] - 2.0 / 20.0) < 0.02
-
-
-def test_bootstrap_se_guards():
-    x = np.ones((100, 1))
-    with pytest.raises(SampleSizeError):
-        bootstrap_se(x, lambda d: d.mean(axis=0), 10, seed=0)
-
-    calls = {"n": 0}
-
-    def flaky(d):
-        calls["n"] += 1
-        raise ValueError("broken estimator")
-
-    with pytest.raises(StabilityError):
-        bootstrap_se(x, flaky, 60, seed=1)

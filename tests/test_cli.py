@@ -27,7 +27,8 @@ from alloc_lab.errors import (
     EfficiencyError,
     NotAvailableError,
 )
-from alloc_lab.modes import ModeSet
+from alloc_lab.models import model_from_config
+from alloc_lab.modes import ModeSet, scenario_weights
 
 from conftest import REF_CORR
 
@@ -406,6 +407,16 @@ def test_pipeline_levelset_artifact(tmp_path):
     mask = artifacts["levelset"]
     assert mask.shape == (40, 40)
     assert 0 < mask.sum() < mask.size
+
+
+def test_pipeline_adjustment_weights_are_the_density_at_the_reported_modes(tmp_path):
+    _, doc = small_config(tmp_path, model=M4_MODEL, capital={"rule": "fixed", "K": 40.0},
+                          sampler={"method": "slab", "n": 250, "delta": 1.0}, seed=20240801)
+    report, _, _ = run_pipeline(doc)
+    locations = np.array([c["location"] for c in report["modes"]["clusters"]])
+    assert locations.shape[0] >= 2
+    w = scenario_weights(model_from_config(M4_MODEL).logpdf(locations))
+    assert report["adjustment"]["weights"] == w.tolist()
 
 
 def test_pipeline_deterministic(tmp_path):

@@ -16,14 +16,12 @@ from alloc_lab.conditional import (
     comonotone_allocation,
     conditional_support,
     countermonotone_pair_sampler,
-    density_at_sum,
     elliptical_condition,
     pin_row_sums,
 )
 from alloc_lab.errors import ConditioningError, ParameterError, RangeError
-from alloc_lab.models import _fd_grad
 
-from conftest import REF_CORR, normal_joint
+from conftest import REF_CORR, _fd_grad, normal_joint
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,7 +70,7 @@ def test_shifted_simplex_unbounded_face():
 # ---------------------------------------------------------------------------
 
 def test_target_lift_and_density(m1_model):
-    t = al.conditional_target(m1_model, 40.0)
+    t = al.ConditionalTarget(m1_model, 40.0)
     xp = np.array([12.0, 9.0])
     full = t.lift(xp)
     assert full.sum() == 40.0
@@ -81,7 +79,7 @@ def test_target_lift_and_density(m1_model):
 
 
 def test_target_gradient_is_reduced(t5_joint):
-    t = al.conditional_target(t5_joint, 8.0)
+    t = al.ConditionalTarget(t5_joint, 8.0)
     xp = np.array([2.5, 2.0])
     fd = _fd_grad(lambda v: t.log_density(v), xp)
     np.testing.assert_allclose(t.grad_log_density(xp), fd, rtol=1e-5)
@@ -169,14 +167,6 @@ def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):
         assert target.log_density_and_grad(np.array(xp)) == (-np.inf, None)
 
 
-def test_density_at_sum_normal_oracle():
-    # S ~ N(0, 1'Sigma 1) in the Gaussian case
-    joint = normal_joint(REF_CORR)
-    sig_s = math.sqrt(float(np.ones(3) @ REF_CORR @ np.ones(3)))
-    est = density_at_sum(joint, 2.0, n=400_000, seed=1)
-    assert abs(est - stats.norm(0, sig_s).pdf(2.0)) < 0.003
-
-
 # ---------------------------------------------------------------------------
 # Elliptical closed forms
 # ---------------------------------------------------------------------------
@@ -202,7 +192,7 @@ def test_elliptical_condition_t_closure(t5_elliptical):
     cond = elliptical_condition(t5_elliptical, K)
     ref = stats.multivariate_t(cond.mu_K, np.asarray(cond.t_dispersion), df=6.0)
     pts = cond.mu_K + np.array([[0.0, 0.0], [0.5, -0.3], [-1.2, 0.8], [2.0, 2.0]])
-    got = cond.logpdf(pts)
+    got = cond.model.logpdf(pts)
     diff = got - ref.logpdf(pts)
     # proportional: the unnormalized form differs by a constant only
     np.testing.assert_allclose(diff, diff[0] * np.ones(4), atol=1e-10)
@@ -213,9 +203,9 @@ def test_elliptical_condition_matches_slice(t5_elliptical):
     # up to the constant f_S(K)
     K = 8.046
     cond = elliptical_condition(t5_elliptical, K)
-    target = al.conditional_target(al.EllipticalJoint(t5_elliptical), K)
+    target = al.ConditionalTarget(al.EllipticalJoint(t5_elliptical), K)
     pts = np.array([[2.8, 2.3], [1.0, 0.5], [4.0, 3.0]])
-    diff = cond.logpdf(pts) - target.log_density(pts)
+    diff = cond.model.logpdf(pts) - target.log_density(pts)
     np.testing.assert_allclose(diff, diff[0] * np.ones(3), atol=1e-10)
 
 
@@ -232,7 +222,7 @@ def test_normal_condition_matches_gaussian_formula():
     np.testing.assert_allclose(cond.mu_K, mu_ref, rtol=1e-12)
     ref = stats.multivariate_normal(mu_ref, cond.Sigma_K.matrix)
     pts = mu_ref + np.array([[0.0, 0.0], [0.7, -0.4], [-1.0, 1.0]])
-    diff = cond.logpdf(pts) - ref.logpdf(pts)
+    diff = cond.model.logpdf(pts) - ref.logpdf(pts)
     np.testing.assert_allclose(diff, diff[0] * np.ones(3), atol=1e-10)
 
 

@@ -188,7 +188,7 @@ def test_conditional_inheritance_mrr2():
 # ---------------------------------------------------------------------------
 
 def test_mrv_t_conditional_exponent(t5_joint):
-    target = al.conditional_target(t5_joint, 8.046)
+    target = al.ConditionalTarget(t5_joint, 8.046)
     x = np.array([0.4, 0.3])
     rep = mrv_exponent(target, x, 2.0 * x)
     assert not rep.rapid
@@ -198,14 +198,14 @@ def test_mrv_t_conditional_exponent(t5_joint):
 
 
 def test_mrv_normal_is_rapid():
-    target = al.conditional_target(normal_joint(REF_CORR), 2.0)
+    target = al.ConditionalTarget(normal_joint(REF_CORR), 2.0)
     rep = mrv_exponent(target, np.array([0.4, 0.3]), np.array([0.8, 0.6]))
     assert rep.rapid
     assert rep.fitted is None
 
 
 def test_mrv_validation(t5_joint):
-    target = al.conditional_target(t5_joint, 8.0)
+    target = al.ConditionalTarget(t5_joint, 8.0)
     with pytest.raises(ParameterError):
         mrv_exponent(target, np.array([-0.1, 0.3]), np.array([0.2, 0.3]))
     with pytest.raises(ParameterError):

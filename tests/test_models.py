@@ -14,14 +14,13 @@ from alloc_lab.errors import (
     ShapeError,
 )
 from alloc_lab.models import (
-    _fd_grad,
     log_norm_const,
     margin_from_config,
     rng_from_seed,
     split_seeds,
 )
 
-from conftest import REF_CORR
+from conftest import REF_CORR, _fd_grad
 
 
 # ---------------------------------------------------------------------------

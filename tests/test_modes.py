@@ -171,13 +171,13 @@ def test_fixed_points_hold_one_kernel_buffer():
 
 def test_unimodal_gaussian_conditional(t5_joint):
     K = 8.046
-    target = al.conditional_target(t5_joint, K)
+    target = al.ConditionalTarget(t5_joint, K)
     samples, _ = slab_sample(t5_joint, K, SlabConfig(n=1500, delta=0.1), seed=3)
     modes = mean_shift_modes(samples[:, :2], target)
     assert len(modes) == 1
     assert modes.unique_global
     exact = elliptical_condition(t5_joint.elliptical, K).mu_K
-    np.testing.assert_allclose(modes.locations_reduced[0], exact, atol=0.12)
+    np.testing.assert_allclose(modes.locations[:, :-1][0], exact, atol=0.12)
     assert abs(modes.locations[0].sum() - K) < 1e-9
     assert modes.converged_fraction > 0.9
 
@@ -209,12 +209,12 @@ def test_mode_ordering_and_basins():
 
 def test_basin_floor_drops_isolated_fixed_point():
     joint = normal_joint(np.eye(3))
-    target = al.conditional_target(joint, 0.0)
+    target = al.ConditionalTarget(joint, 0.0)
     rng = rng_from_seed(6)
     x = np.vstack([0.5 * rng.standard_normal((300, 2)), [[50.0, 50.0]]])
     cfg = MeanShiftConfig(bandwidth=0.04 * np.eye(2))
     modes = mean_shift_modes(x, target, cfg)
-    assert np.all(np.linalg.norm(modes.locations_reduced, axis=1) < 2.0)
+    assert np.all(np.linalg.norm(modes.locations[:, :-1], axis=1) < 2.0)
     loose = MeanShiftConfig(bandwidth=0.04 * np.eye(2), min_basin_fraction=0.0)
     assert len(mean_shift_modes(x, target, loose)) > len(modes)
 
@@ -226,13 +226,13 @@ def test_permutation_equivariance():
     x = complete_mix_dirichlet(2.0, 10.0, K, 2000, seed=7)[:, :2]
     a = mean_shift_modes(x, target)
     b = mean_shift_modes(x[:, ::-1], target)
-    sa = set(map(tuple, np.round(a.locations_reduced, 3)))
-    sb = set(map(tuple, np.round(b.locations_reduced[:, ::-1], 3)))
+    sa = set(map(tuple, np.round(a.locations[:, :-1], 3)))
+    sb = set(map(tuple, np.round(b.locations[:, :-1][:, ::-1], 3)))
     assert len(sa ^ sb) == 0
 
 
 def test_mode_sample_size_guard(t5_joint):
-    target = al.conditional_target(t5_joint, 8.0)
+    target = al.ConditionalTarget(t5_joint, 8.0)
     with pytest.raises(SampleSizeError):
         mean_shift_modes(np.zeros((15, 2)), target)
 
@@ -246,7 +246,7 @@ def test_scenario_weights_exchangeable():
     target = CompleteMixTarget(2.0, 10.0, K)
     x = complete_mix_dirichlet(2.0, 10.0, K, 3000, seed=3)
     modes = mean_shift_modes(x[:, :2], target)
-    w = scenario_weights([target.log_density(loc) for loc in modes.locations_reduced])
+    w = scenario_weights([target.log_density(loc) for loc in modes.locations[:, :-1]])
     assert w.sum() == 1.0
     assert np.all(w > 0.0)
     np.testing.assert_allclose(w, np.full(len(modes), 1.0 / len(modes)), atol=0.1)

@@ -1,0 +1,70 @@
+"""The package as a whole: its imports, and the names the benchmark hooks."""
+import ast
+import importlib.util
+import json
+from pathlib import Path
+
+import alloc_lab as al
+from alloc_lab import cli
+
+from conftest import REF_CORR
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "alloc_lab"
+
+
+def imported_but_unused(source):
+    """Names bound by the import statements of source that no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export
+    unused = {path.name: imported_but_unused(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_traced_name_is_an_attribute_of_its_owner():
+    # perfbench/tracing.py wraps owner.__dict__[attr]: a name inherited,
+    # moved or gone breaks every traced round
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _, _ in tracing.targets(al):
+        assert attr in owner.__dict__, (owner, attr)
+
+
+def test_a_core_run_looks_up_core_polytope_on_cli_once(tmp_path, monkeypatch):
+    # the benchmark records the polytope of a core run by patching this global
+    calls = []
+    build = cli.core_polytope
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "core_polytope", recorder)
+    doc = {
+        "model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist(),
+                  "generator": "student_t", "nu": 5.0},
+        "capital": {"rule": "var", "p": 0.9, "n_cal": 20_000},
+        "sampler": {"method": "hmc", "core": True, "epsilon": 0.105, "steps": 8,
+                    "chain_length": 200},
+        "modes": {"enabled": False},
+        "seed": 5,
+    }
+    path = tmp_path / "core.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run_experiment(str(path), output=str(tmp_path / "out")) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "out" / "chain.csv").exists()

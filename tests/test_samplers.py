@@ -39,7 +39,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture(scope="module")
 def pair_target():
     """Bivariate normal, rho = 0.5: X1 | {S = 2} is N(1, 1/4)."""
-    return al.conditional_target(normal_joint(RHO_HALF), 2.0)
+    return al.ConditionalTarget(normal_joint(RHO_HALF), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_mh_detailed_balance_flow(pair_target):
 
 
 def test_mh_uniform_simplex_proposal(m1_model):
-    target = al.conditional_target(m1_model, 40.0)
+    target = al.ConditionalTarget(m1_model, 40.0)
     cfg = MHConfig(chain_length=4000, proposal="independent_uniform_simplex", seed=7)
     chain, diag = mh_chain(target, cfg)
     assert np.all(target.support.contains(chain))
@@ -297,8 +297,8 @@ def test_mh_validation(pair_target):
     with pytest.raises(ConfigurationError):
         mh_chain(pair_target, MHConfig(chain_length=100, burn_in=100))
     with pytest.raises(FeasibilityError):
-        target = al.conditional_target(normal_joint(RHO_HALF), 2.0)
-        bad = al.conditional_target(
+        target = al.ConditionalTarget(normal_joint(RHO_HALF), 2.0)
+        bad = al.ConditionalTarget(
             al.MarginCopula([al.Lomax(2.5, 5.0), al.Lomax(2.5, 5.0)],
                             al.IndependenceCopula(2)), 10.0)
         mh_chain(bad, MHConfig(chain_length=1000, initial=np.array([-5.0])))
@@ -491,7 +491,7 @@ def test_hmc_free_space_recovers_conditional(pair_target):
 
 
 def test_hmc_respects_polytope(t5_joint):
-    target = al.conditional_target(t5_joint, 8.046)
+    target = al.ConditionalTarget(t5_joint, 8.046)
     poly = Polytope([((1, 0, 0), 4.0), ((0, 1, 0), 4.0), ((0, 0, 1), 4.0)],
                     8.046, 3)
     cfg = HMCConfig(chain_length=2000, epsilon=0.1, steps=12, seed=12)
@@ -504,7 +504,7 @@ def test_hmc_respects_polytope(t5_joint):
 
 def test_hmc_estimator_agrees_with_slab_and_mh(t5_joint):
     K = 8.046
-    target = al.conditional_target(t5_joint, K)
+    target = al.ConditionalTarget(t5_joint, K)
     exact = elliptical_condition(t5_joint.elliptical, K).mu_K
     slab, _ = slab_sample(t5_joint, K, SlabConfig(n=4000, delta=0.05), seed=13)
     mh, _ = mh_chain(target, MHConfig(chain_length=20_000, seed=14))
@@ -555,7 +555,7 @@ def test_hmc_makes_one_evaluation_per_leapfrog_step(pair_target, monkeypatch):
 def test_hmc_pilot_mass_is_inverse_pilot_variance(t5_joint):
     # the pilot that tunes the step size and start also sets the mass
     K = 8.046
-    target = al.conditional_target(t5_joint, K)
+    target = al.ConditionalTarget(t5_joint, K)
     poly = Polytope([((1, 0, 0), 4.0), ((0, 1, 0), 4.0), ((0, 0, 1), 4.0)], K, 3)
     pilot = _pilot_sample(target, np.random.default_rng(18))
     mass = 1.0 / pilot.var(axis=0, ddof=1)
@@ -600,7 +600,7 @@ def test_hmc_mass_needs_one_entry_per_coordinate(pair_target):
 
 
 def test_hmc_infeasible_start(t5_joint):
-    target = al.conditional_target(t5_joint, 8.0)
+    target = al.ConditionalTarget(t5_joint, 8.0)
     poly = Polytope([((1, 0, 0), 4.0)], 8.0, 3)
     cfg = HMCConfig(chain_length=1000, epsilon=0.1, steps=5,
                     initial=np.array([5.0, 1.0]))
