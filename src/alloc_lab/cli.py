@@ -172,7 +172,7 @@ def build_model(doc, base_dir="."):
         data, _ = _built("model.csv" if cols is None else "model.csv with model.cols", ingest_csv,
                          os.path.join(base_dir, path), cols=cols)
         return _built("model.csv", empirical_model_from_matrix,
-                      _flipped(data, spec.get("flip"), "model.flip"))
+                      _flipped(data, spec.get("flip")))
     return model_from_config(spec)
 
 
@@ -535,7 +535,7 @@ def _output_dir(base_dir, output, key):
 # CSV ingest and export
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
+def ingest_csv(path, cols=None):
     """Headered CSV -> loss matrix; returns (matrix, dropped-row count).
 
     numpy's C reader parses the data rows.  A file it refuses, or one where
@@ -583,20 +583,15 @@ def ingest_csv(path, cols=None, flip=None, resample_n=None, seed=0):
                 break
             rnum += 1
         raise DataError(f"row {rnum + 2}: non-finite cell")
-    data = _flipped(data, flip, "flip")
-    checked(resample_n, "resample_n", *or_null(integer(0)))
-    if resample_n:
-        rng = np.random.default_rng(seed)
-        data = data[rng.integers(0, data.shape[0], size=resample_n)]
     return data, len(dropped)
 
 
-def _flipped(data, flip, key):
+def _flipped(data, flip):
     """data with each column listed in flip negated, once per listing; a flip
-    that is neither None nor a list of column indices is refused naming key."""
+    that is neither None nor a list of column indices is refused naming model.flip."""
     if flip is not None:
         d = data.shape[1]
-        checked(flip, key, lambda f: isinstance(f, (list, tuple))
+        checked(flip, "model.flip", lambda f: isinstance(f, (list, tuple))
                 and all(_int_at_least(j, -d) and j < d for j in f),
                 f"a list of column indices in [{-d}, {d})")
         for j in flip:
@@ -695,9 +690,6 @@ def main(argv=None):
     p_ing = sub.add_parser("ingest", help="validate and summarize a loss CSV")
     p_ing.add_argument("csv")
     p_ing.add_argument("--cols", nargs="*", default=None)
-    p_ing.add_argument("--flip", nargs="*", type=int, default=None)
-    p_ing.add_argument("--resample-n", type=int, default=None)
-    p_ing.add_argument("--seed", type=int, default=0)
 
     p_exp = sub.add_parser("export", help="export plot-ready CSV from a report")
     p_exp.add_argument("report")
@@ -716,8 +708,7 @@ def main(argv=None):
             cols = None
             if args.cols:
                 cols = [int(c) if c.lstrip("-").isdigit() else c for c in args.cols]
-            data, dropped = ingest_csv(args.csv, cols=cols, flip=args.flip,
-                                       resample_n=args.resample_n, seed=args.seed)
+            data, dropped = ingest_csv(args.csv, cols=cols)
             print(f"rows={data.shape[0]} cols={data.shape[1]} dropped={dropped}")
             return 2 if dropped else 0
         if args.verb == "export":

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage, spatial
 
 from .errors import InconsistencyError, ParameterError
-from .models import EllipticalJoint, StudentTGen, rng_from_seed
+from .models import EllipticalModel, StudentTGen, rng_from_seed
 
 
 @dataclass
@@ -250,14 +250,14 @@ class MRVReport:
 
 def _elliptical_t_prediction(target, x, y):
     model = getattr(target, "model", None)
-    if not isinstance(model, EllipticalJoint):
+    if not isinstance(model, EllipticalModel):
         return None
-    gen = model.elliptical.generator
+    gen = model.generator
     if not isinstance(gen, StudentTGen):
         return None
     from .conditional import elliptical_condition
 
-    cond = elliptical_condition(model.elliptical, target.K)
+    cond = elliptical_condition(model, target.K)
     li = np.linalg.inv(cond.Sigma_K.chol)
     ny = np.linalg.norm(li @ y)
     nx = np.linalg.norm(li @ x)

@@ -349,18 +349,11 @@ class DispersionMatrix:
         return np.sum(w * w, axis=0)
 
 
-class DensityGenerator:
-    """Radial density generator g evaluated at half squared Mahalanobis."""
-
-    def log_g(self, t, d):
-        raise NotImplementedError
-
-    def dlog_g(self, t, d):
-        raise NotImplementedError
-
+# A density generator g, evaluated at half the squared Mahalanobis distance,
+# gives log g and its derivative as log_g(t, d) and dlog_g(t, d).
 
 @dataclass(frozen=True)
-class NormalGen(DensityGenerator):
+class NormalGen:
     def log_g(self, t, d):
         return -np.asarray(t, dtype=float)
 
@@ -369,7 +362,7 @@ class NormalGen(DensityGenerator):
 
 
 @dataclass(frozen=True)
-class StudentTGen(DensityGenerator):
+class StudentTGen:
     nu: float
 
     def __post_init__(self):
@@ -385,7 +378,7 @@ class StudentTGen(DensityGenerator):
 
 
 @dataclass(frozen=True)
-class ShiftedGen(DensityGenerator):
+class ShiftedGen:
     """g_K(t) = g(t + delta), keeping the base model's dimension.
 
     Conditioning reduces the dimension the generator is integrated over but
@@ -393,7 +386,7 @@ class ShiftedGen(DensityGenerator):
     overrides the evaluation dimension.
     """
 
-    base: DensityGenerator
+    base: NormalGen | StudentTGen | ShiftedGen
     delta: float
     base_dim: int = None
 
@@ -431,7 +424,14 @@ def log_norm_const(gen, d):
 # ---------------------------------------------------------------------------
 
 class EllipticalModel:
-    """Location / dispersion / generator triple with normalized density."""
+    """Location / dispersion / generator triple with normalized density.
+
+    EllipticalJoint adds `sample(n, seed)`; it and MarginCopula are the two
+    joint models, with `d`, `has_density`, `logpdf`, `grad_logpdf`,
+    `logpdf_and_grad`, `sample(n, seed)` and `margin_lowers()`.
+    """
+
+    has_density = True
 
     def __init__(self, mu, dispersion, generator):
         self.mu = np.asarray(mu, dtype=float).ravel()
@@ -472,7 +472,17 @@ class EllipticalModel:
         dlog_g = float(self.generator.dlog_g(t, self.d))
         return logp, dlog_g * np.linalg.solve(self.dispersion.chol.T, w)
 
-    def sample(self, n, rng):
+    def margin_lowers(self):
+        return np.full(self.d, -np.inf)
+
+
+class EllipticalJoint(EllipticalModel):
+    """An elliptical model with a normal or t generator, which can be sampled."""
+
+    def sample(self, n, seed):
+        if n < 1:
+            raise SampleSizeError("need n >= 1")
+        rng = rng_from_seed(seed)
         z = rng.standard_normal((n, self.d)) @ self.dispersion.chol.T
         gen = self.generator
         if isinstance(gen, NormalGen):
@@ -537,12 +547,16 @@ class IndependenceCopula(CopulaModel):
 
 
 class StudentTCopula(CopulaModel):
+    """Copula of t_nu(0, corr): c(u) = t_{nu,corr}(z) / prod_j t_nu(z_j) at
+    z_j = t_nu^{-1}(u_j), with t_nu the StudentT(nu) margin of every coordinate."""
+
     def __init__(self, nu, corr):
         _require_positive("StudentTCopula", nu=nu)
         corr = np.asarray(corr, dtype=float)
         if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
             raise ParameterError("correlation matrix must have unit diagonal")
         self.nu = float(nu)
+        self.margin = StudentT(self.nu)
         self.corr = DispersionMatrix(corr)
         self.d = self.corr.d
 
@@ -552,7 +566,7 @@ class StudentTCopula(CopulaModel):
         return z / np.sqrt(w)[:, None]
 
     def to_uniform(self, t):
-        return special.stdtr(self.nu, t)
+        return self.margin.cdf(t)
 
     # the grid is uniform in v = t / (1 + |t|), which maps [-inf, inf] onto [-1, 1]
 
@@ -578,13 +592,6 @@ class StudentTCopula(CopulaModel):
             raise BoundaryError("copula density needs u in the open unit cube")
         return special.stdtrit(self.nu, u)
 
-    def _log_t1(self, z):
-        """Log density of the univariate t_nu margin at each entry of z."""
-        nu = self.nu
-        c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
-            - 0.5 * math.log(nu * math.pi)
-        return c1 - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
-
     def logdensity(self, u):
         z = self._z(u)
         nu, d = self.nu, self.d
@@ -594,7 +601,7 @@ class StudentTCopula(CopulaModel):
             - d / 2.0 * math.log(nu * math.pi) - 0.5 * self.corr.log_det
             - (nu + d) / 2.0 * np.log1p(q / nu)
         )
-        return log_joint - np.sum(self._log_t1(z), axis=1)
+        return log_joint - np.sum(self.margin.logpdf(z), axis=1)
 
     def dlogdensity_du(self, u):
         """Gradient of log c wrt u, row-wise."""
@@ -603,8 +610,7 @@ class StudentTCopula(CopulaModel):
         q = self.corr.maha_sq(z)
         pz = self.corr.solve(z)
         djoint_dz = -(nu + d) / (nu + q)[:, None] * pz
-        dmarg_dz = -(nu + 1.0) * z / (nu + z * z)
-        return (djoint_dz - dmarg_dz) * np.exp(-self._log_t1(z))
+        return (djoint_dz - self.margin.dlogpdf(z)) * np.exp(-self.margin.logpdf(z))
 
 
 class EmpiricalResampleCopula(CopulaModel):
@@ -638,52 +644,7 @@ class EmpiricalResampleCopula(CopulaModel):
 # Joint models
 # ---------------------------------------------------------------------------
 
-class JointModel:
-    d = None
-    has_density = True
-
-    def logpdf(self, x):
-        raise NotImplementedError
-
-    def grad_logpdf(self, x):
-        raise NotImplementedError
-
-    def logpdf_and_grad(self, x):
-        """(logpdf, grad_logpdf) at one point; no gradient where the density is 0."""
-        lp = self.logpdf(x)
-        return lp, (self.grad_logpdf(x) if lp > -np.inf else None)
-
-    def sample(self, n, seed):
-        raise NotImplementedError
-
-    def margin_lowers(self):
-        raise NotImplementedError
-
-
-class EllipticalJoint(JointModel):
-    def __init__(self, elliptical):
-        self.elliptical = elliptical
-        self.d = elliptical.d
-
-    def logpdf(self, x):
-        return self.elliptical.logpdf(x)
-
-    def grad_logpdf(self, x):
-        return self.elliptical.grad_logpdf(x)
-
-    def logpdf_and_grad(self, x):
-        return self.elliptical.logpdf_and_grad(x)
-
-    def sample(self, n, seed):
-        if n < 1:
-            raise SampleSizeError("need n >= 1")
-        return self.elliptical.sample(n, rng_from_seed(seed))
-
-    def margin_lowers(self):
-        return np.full(self.d, -np.inf)
-
-
-class MarginCopula(JointModel):
+class MarginCopula:
     def __init__(self, margins, copula):
         self.margins = list(margins)
         self.copula = copula
@@ -729,6 +690,11 @@ class MarginCopula(JointModel):
         dlm = np.array([m.dlogpdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
         dc = self.copula.dlogdensity_du(u[None, :])[0]
         return dc * pdf + dlm
+
+    def logpdf_and_grad(self, x):
+        """(logpdf, grad_logpdf) at one point; no gradient where the density is 0."""
+        lp = self.logpdf(x)
+        return lp, (self.grad_logpdf(x) if lp > -np.inf else None)
 
     def sample(self, n, seed):
         if n < 1:
@@ -785,7 +751,8 @@ class MarginCopula(JointModel):
         if grid_nodes is None:
             return None
         nodes = grid_nodes(SCREEN_CELLS)
-        table = self.transform(np.repeat(nodes[:, None], self.d, axis=1)).T
+        with np.errstate(over="ignore"):        # an infinite loss gives no table
+            table = self.transform(np.repeat(nodes[:, None], self.d, axis=1)).T
         if not np.all(np.isfinite(table)):
             return None
         pad = 1e-9 * np.abs(table)
@@ -908,7 +875,7 @@ def margin_from_config(doc, path="margin"):
 
 
 def model_from_config(doc):
-    """Build a JointModel from a config mapping.
+    """Build an EllipticalJoint or a MarginCopula from a config mapping.
 
     Documented keys: kind, margins[], copula, nu, corr, mu, sigma.  A missing
     or mistyped value raises a ConfigurationError naming its key path, and
@@ -925,7 +892,7 @@ def model_from_config(doc):
         else:
             raise ParameterError(f"model.generator: unknown generator: {gen_name!r}")
         sigma = _built("model.sigma", DispersionMatrix, spec.array("sigma"))
-        return EllipticalJoint(_built("model.mu", EllipticalModel, spec.array("mu"), sigma, gen))
+        return _built("model.mu", EllipticalJoint, spec.array("mu"), sigma, gen)
     if kind == "margin_copula":
         margins = spec.get("margins", None, lambda v: isinstance(v, list), "a list")
         margins = [margin_from_config(m, f"model.margins[{i}]") for i, m in enumerate(margins)]

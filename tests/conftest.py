@@ -20,15 +20,9 @@ LOMAX_CORRS = {
 
 
 @pytest.fixture(scope="session")
-def t5_elliptical():
+def t5_joint():
     """Trivariate t5 with the reference dispersion matrix."""
-    return al.EllipticalModel(np.zeros(3), al.DispersionMatrix(REF_CORR),
-                              al.StudentTGen(5.0))
-
-
-@pytest.fixture(scope="session")
-def t5_joint(t5_elliptical):
-    return al.EllipticalJoint(t5_elliptical)
+    return al.EllipticalJoint(np.zeros(3), al.DispersionMatrix(REF_CORR), al.StudentTGen(5.0))
 
 
 def lomax_t_model(corr):
@@ -62,8 +56,7 @@ def _fd_grad(f, x, rel=1e-6):
 def normal_joint(sigma, mu=None):
     sigma = np.asarray(sigma, dtype=float)
     mu = np.zeros(sigma.shape[0]) if mu is None else np.asarray(mu, dtype=float)
-    return al.EllipticalJoint(
-        al.EllipticalModel(mu, al.DispersionMatrix(sigma), al.NormalGen()))
+    return al.EllipticalJoint(mu, al.DispersionMatrix(sigma), al.NormalGen())
 
 
 def crossed_box_model():

@@ -79,8 +79,7 @@ def report(criterion, ok, detail=""):
 
 
 def t5_model():
-    return al.EllipticalModel(np.zeros(3), al.DispersionMatrix(REF_CORR),
-                              al.StudentTGen(5.0))
+    return al.EllipticalJoint(np.zeros(3), al.DispersionMatrix(REF_CORR), al.StudentTGen(5.0))
 
 
 def calibrated_K(seed=5):
@@ -95,10 +94,9 @@ def calibrated_K(seed=5):
 
 def test_criterion_01_conditional_mean_oracle():
     t0 = time.time()
-    model = t5_model()
-    joint = al.EllipticalJoint(model)
+    joint = t5_model()
     K = calibrated_K()
-    cond = elliptical_condition(model, K)
+    cond = elliptical_condition(joint, K)
     exact = np.append(cond.mu_K, K - cond.mu_K.sum())
     target = al.ConditionalTarget(joint, K)
 
@@ -219,8 +217,7 @@ CALIBRATION_SD = np.array([0.0052, 0.0099, 0.0096])   # spread over VaR seeds
 
 def test_criterion_04a_core_hmc():
     t0 = time.time()
-    model = t5_model()
-    joint = al.EllipticalJoint(model)
+    joint = t5_model()
     poly, K = core_polytope(joint, 0.99, 10 ** 6, seed=5)
     target = al.ConditionalTarget(joint, K)
     pilot, _ = slab_sample(joint, K, SlabConfig(n=200, standardize=False), seed=6)
@@ -324,11 +321,9 @@ def test_criterion_06_complete_mix_modes():
 # ---------------------------------------------------------------------------
 
 def _slab_mode(model, K, delta, seed, n=1500):
-    joint = al.EllipticalJoint(model) if isinstance(model, al.EllipticalModel) \
-        else model
-    x, _ = slab_sample(joint, K, SlabConfig(n=n, delta=delta, standardize=False),
+    x, _ = slab_sample(model, K, SlabConfig(n=n, delta=delta, standardize=False),
                        seed)
-    target = al.ConditionalTarget(joint, K)
+    target = al.ConditionalTarget(model, K)
     return mean_shift_modes(x[:, :-1], target).locations[0]
 
 
@@ -339,19 +334,18 @@ def test_criterion_07_mla_properties():
 
     # translation: X + c under matched seeds shifts the mode by exactly c
     c = np.array([1.0, -0.5, 2.0])
-    shifted = al.EllipticalModel(c, al.DispersionMatrix(REF_CORR),
-                                 al.StudentTGen(5.0))
+    shifted = al.EllipticalJoint(c, al.DispersionMatrix(REF_CORR), al.StudentTGen(5.0))
     m_shift = _slab_mode(shifted, K0 + c.sum(), delta, seed)
     t_err = float(np.max(np.abs(m_shift - (m0 + c))))
 
     # positive homogeneity: 2X under matched seeds doubles the mode
-    scaled = al.EllipticalModel(np.zeros(3), al.DispersionMatrix(4.0 * REF_CORR),
+    scaled = al.EllipticalJoint(np.zeros(3), al.DispersionMatrix(4.0 * REF_CORR),
                                 al.StudentTGen(5.0))
     m_scale = _slab_mode(scaled, 2.0 * K0, 2.0 * delta, seed)
     h_err = float(np.max(np.abs(m_scale - 2.0 * m0)))
 
     # exchangeable symmetry: equal split within 3 SEs over replications
-    eq = al.EllipticalModel(np.zeros(3),
+    eq = al.EllipticalJoint(np.zeros(3),
                             al.DispersionMatrix(np.full((3, 3), 0.5)
                                                 + 0.5 * np.eye(3)),
                             al.StudentTGen(5.0))
@@ -432,8 +426,7 @@ def test_criterion_08_adjustment():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_tail_diagnostics():
-    joint = al.EllipticalJoint(t5_model())
-    target = al.ConditionalTarget(joint, 8.046)
+    target = al.ConditionalTarget(t5_model(), 8.046)
     x = np.array([0.4, 0.3])
     rep = mrv_exponent(target, x, 2.0 * x)
     rel = abs(rep.fitted - rep.predicted) / abs(rep.predicted) \

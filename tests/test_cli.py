@@ -12,6 +12,7 @@ import pytest
 from alloc_lab import cli
 from alloc_lab.cli import (
     aggregate_modesets,
+    build_model,
     export_plotdata,
     ingest_csv,
     load_config,
@@ -486,8 +487,10 @@ def test_ingest_csv_columns_and_flip(tmp_path):
     data, dropped = ingest_csv(str(path), cols=["a", "b", "c"])
     assert dropped == 0
     np.testing.assert_allclose(data, np.round(x, 6), atol=1e-9)
-    flipped, _ = ingest_csv(str(path), cols=["a", "b", "c"], flip=[0])
-    np.testing.assert_allclose(flipped[:, 0], -data[:, 0])
+    flipped = build_model({"model": {"kind": "empirical", "csv": str(path),
+                                     "cols": ["a", "b", "c"], "flip": [0]}})
+    np.testing.assert_array_equal(flipped.margins[0].sample, np.sort(-data[:, 0]))
+    np.testing.assert_array_equal(flipped.margins[1].sample, np.sort(data[:, 1]))
     byidx, _ = ingest_csv(str(path), cols=[1, 2, 3])
     np.testing.assert_array_equal(byidx, data)
 
@@ -634,13 +637,6 @@ def test_ingest_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
     assert peak <= 2 * data.nbytes
 
 
-def test_ingest_csv_resample(tmp_path):
-    path = tmp_path / "losses.csv"
-    write_losses(path)
-    data, _ = ingest_csv(str(path), cols=["a", "b", "c"], resample_n=500, seed=1)
-    assert data.shape == (500, 3)
-
-
 def test_export_plotdata_errors(tmp_path):
     with pytest.raises(NotAvailableError):
         export_plotdata(str(tmp_path), "scatter", str(tmp_path / "o.csv"))
@@ -747,16 +743,6 @@ def test_main_ingest_names_the_row_of_an_overlong_cell(tmp_path, capsys):
     assert main(["ingest", str(path)]) == 1
     err = capsys.readouterr().err
     assert "row 4" in err and "field limit" in err
-
-
-@pytest.mark.parametrize("extra,key", [
-    (["--flip", "5"], "flip"),
-    (["--flip", "-3"], "flip"),
-    (["--resample-n", "-3"], "resample_n"),
-])
-def test_main_ingest_refuses_bad_flip_or_resample_n(capsys, extra, key):
-    assert main(["ingest", EXAMPLE_CSV, "--cols", "bank", "fund", *extra]) == 1
-    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["check", "ingest"])

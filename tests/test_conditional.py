@@ -117,8 +117,7 @@ def test_fused_evaluation_is_bitwise_the_separate_one(m1_model):
 
 def _t_joint(d):
     corr = 0.4 * np.eye(d) + 0.6 / d
-    return al.EllipticalJoint(al.EllipticalModel(np.zeros(d), al.DispersionMatrix(corr),
-                                                 al.StudentTGen(5.0)))
+    return al.EllipticalJoint(np.zeros(d), al.DispersionMatrix(corr), al.StudentTGen(5.0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 8])
@@ -171,9 +170,9 @@ def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):
 # Elliptical closed forms
 # ---------------------------------------------------------------------------
 
-def test_elliptical_condition_reference_quantities(t5_elliptical):
+def test_elliptical_condition_reference_quantities(t5_joint):
     K = 8.046
-    cond = elliptical_condition(t5_elliptical, K)
+    cond = elliptical_condition(t5_joint, K)
     sig_s2 = float(np.ones(3) @ REF_CORR @ np.ones(3))
     assert abs(sig_s2 - 17.0 / 3.0) < 1e-12
     np.testing.assert_allclose(cond.mu_K, K / sig_s2 * np.array([2.0, 5.0 / 3.0]),
@@ -185,11 +184,11 @@ def test_elliptical_condition_reference_quantities(t5_elliptical):
     assert cond.t_df == 6.0
 
 
-def test_elliptical_condition_t_closure(t5_elliptical):
+def test_elliptical_condition_t_closure(t5_joint):
     # the conditional of a t law is again t with df = nu + 1 and a
     # dispersion inflated by (nu + 2 Delta_K) / (nu + 1)
     K = 8.046
-    cond = elliptical_condition(t5_elliptical, K)
+    cond = elliptical_condition(t5_joint, K)
     ref = stats.multivariate_t(cond.mu_K, np.asarray(cond.t_dispersion), df=6.0)
     pts = cond.mu_K + np.array([[0.0, 0.0], [0.5, -0.3], [-1.2, 0.8], [2.0, 2.0]])
     got = cond.model.logpdf(pts)
@@ -198,12 +197,12 @@ def test_elliptical_condition_t_closure(t5_elliptical):
     np.testing.assert_allclose(diff, diff[0] * np.ones(4), atol=1e-10)
 
 
-def test_elliptical_condition_matches_slice(t5_elliptical):
+def test_elliptical_condition_matches_slice(t5_joint):
     # closed form equals the joint density restricted to the hyperplane,
     # up to the constant f_S(K)
     K = 8.046
-    cond = elliptical_condition(t5_elliptical, K)
-    target = al.ConditionalTarget(al.EllipticalJoint(t5_elliptical), K)
+    cond = elliptical_condition(t5_joint, K)
+    target = al.ConditionalTarget(t5_joint, K)
     pts = np.array([[2.8, 2.3], [1.0, 0.5], [4.0, 3.0]])
     diff = cond.model.logpdf(pts) - target.log_density(pts)
     np.testing.assert_allclose(diff, diff[0] * np.ones(3), atol=1e-10)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import alloc_lab as al
 from alloc_lab.errors import (
@@ -174,24 +174,33 @@ def test_elliptical_normal_matches_scipy():
     np.testing.assert_allclose(ell.logpdf(x), ref.logpdf(x), rtol=1e-12)
 
 
-def test_elliptical_t_matches_scipy(t5_elliptical):
+def test_elliptical_t_matches_scipy(t5_joint):
     ref = stats.multivariate_t(np.zeros(3), REF_CORR, df=5.0)
     x = rng_from_seed(1).standard_normal((50, 3)) * 3.0
-    np.testing.assert_allclose(t5_elliptical.logpdf(x), ref.logpdf(x), rtol=1e-12)
+    np.testing.assert_allclose(t5_joint.logpdf(x), ref.logpdf(x), rtol=1e-12)
 
 
-def test_elliptical_gradient(t5_elliptical):
+def test_elliptical_gradient(t5_joint):
     x = np.array([1.2, -0.4, 2.5])
-    fd = _fd_grad(t5_elliptical.logpdf, x)
-    np.testing.assert_allclose(t5_elliptical.grad_logpdf(x), fd, rtol=1e-5)
+    fd = _fd_grad(t5_joint.logpdf, x)
+    np.testing.assert_allclose(t5_joint.grad_logpdf(x), fd, rtol=1e-5)
 
 
-def test_elliptical_t_sampling_moments(t5_elliptical):
-    x = t5_elliptical.sample(200_000, rng_from_seed(2))
+def test_elliptical_t_sampling_moments(t5_joint):
+    x = t5_joint.sample(200_000, rng_from_seed(2))
     # Cov = nu/(nu-2) * Sigma for a t_nu law
     np.testing.assert_allclose(np.cov(x, rowvar=False), 5.0 / 3.0 * REF_CORR,
                                atol=0.05)
     np.testing.assert_allclose(x.mean(axis=0), np.zeros(3), atol=0.02)
+
+
+def test_elliptical_joint_adds_only_sample(t5_joint):
+    assert {k for k in vars(al.EllipticalJoint) if not k.startswith("__")} == {"sample"}
+    assert not hasattr(t5_joint, "elliptical")
+    # an int seed and a Generator made from it give the same draws
+    assert np.array_equal(t5_joint.sample(50, 3), t5_joint.sample(50, rng_from_seed(3)))
+    with pytest.raises(SampleSizeError):
+        t5_joint.sample(0, 3)
 
 
 def test_elliptical_shape_mismatch():
@@ -219,6 +228,42 @@ def test_t_copula_density_gradient():
     u = np.array([0.35, 0.62])
     fd = _fd_grad(lambda v: float(cop.logdensity(v[None, :])[0]), u)
     np.testing.assert_allclose(cop.dlogdensity_du(u[None, :])[0], fd, rtol=1e-5)
+
+
+def _t_copula_reference(cop, u):
+    """(logdensity, dlogdensity_du) of a StudentTCopula at u by the formulas
+    that wrote its univariate t margin out, kept as the reference for their bits."""
+    z = special.stdtrit(cop.nu, np.atleast_2d(u))
+    nu, d = cop.nu, cop.d
+    c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
+        - 0.5 * math.log(nu * math.pi)
+    log_t1 = c1 - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
+    q = cop.corr.maha_sq(z)
+    log_joint = (
+        special.gammaln((nu + d) / 2.0) - special.gammaln(nu / 2.0)
+        - d / 2.0 * math.log(nu * math.pi) - 0.5 * cop.corr.log_det
+        - (nu + d) / 2.0 * np.log1p(q / nu)
+    )
+    djoint_dz = -(nu + d) / (nu + q)[:, None] * cop.corr.solve(z)
+    dmarg_dz = -(nu + 1.0) * z / (nu + z * z)
+    return log_joint - np.sum(log_t1, axis=1), (djoint_dz - dmarg_dz) * np.exp(-log_t1)
+
+
+@pytest.mark.parametrize("d,nu", [(2, 4.0), (3, 5.0)])
+def test_t_copula_is_bitwise_its_written_out_formulas(d, nu):
+    rng = np.random.default_rng(70 + d)
+    cop = al.StudentTCopula(nu, 0.6 * np.eye(d) + 0.4 * np.ones((d, d)))
+    t = rng.standard_t(nu, size=(2000, d)) * 10.0 ** rng.uniform(-3.0, 8.0, size=(2000, d))
+    t[:5] = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])[:, None]
+    t[5:10] = np.array([1e8, -1e8, 5e-324, -5e-324, 1e-300])[:, None]
+    assert cop.to_uniform(t).tobytes() == special.stdtr(nu, t).tobytes()
+    u = rng.uniform(size=(2000, d)) ** rng.uniform(0.1, 30.0, size=(2000, d))
+    u[:3] = np.array([1e-15, 1.0 - 1e-15, 0.5])[:, None]
+    u[3] = [1e-15, 1.0 - 1e-15, 1e-15][:d]
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    logdens, grad = _t_copula_reference(cop, u)
+    assert cop.logdensity(u).tobytes() == logdens.tobytes()
+    assert cop.dlogdensity_du(u).tobytes() == grad.tobytes()
 
 
 def test_t_copula_samples_in_cube():

@@ -1,4 +1,4 @@
-"""The package as a whole: its imports, and the names the benchmark hooks."""
+"""The package as a whole: its imports, its methods, and the names the benchmark hooks."""
 import ast
 import importlib.util
 import json
@@ -31,6 +31,36 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: imported_but_unused(path.read_text(encoding="utf-8"))
               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def pass_throughs(source):
+    """Class.method names whose body, a docstring aside, is only
+    `return self.<attr>.<same name>(<its own arguments>)`."""
+    found = []
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    for cls in classes:
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.args.args:
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == fn.name and isinstance(call.func.value, ast.Attribute)):
+                continue
+            owner = call.func.value.value
+            params = [a.arg for a in fn.args.args]
+            passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+            passed += [k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+                       for k in call.keywords]
+            if isinstance(owner, ast.Name) and owner.id == params[0] and passed == params[1:]:
+                found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
+def test_no_method_only_forwards_to_an_attribute():
+    found = {path.name: pass_throughs(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: methods for name, methods in found.items() if methods} == {}
 
 
 def test_every_traced_name_is_an_attribute_of_its_owner():

@@ -2,6 +2,7 @@
 import json
 import math
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,21 @@ def test_slab_screen_keeps_the_exact_rows(name, make, K, delta, n):
         ref, ref_rate = _exact_slab(model, K, cfg, seed)
         assert np.array_equal(x, ref)
         assert rate == ref_rate
+
+
+def test_slab_without_finite_tables_warns_nothing_and_keeps_the_exact_rows():
+    # Lomax(0.03, 5) overflows to an infinite loss at the grid's top node, so
+    # the model has no screen tables and draws whole batches
+    model = al.MarginCopula([al.Lomax(0.03, 5.0), al.Lomax(2.75, 5.0), al.Lomax(3.0, 5.0)],
+                            al.StudentTCopula(5.0, np.eye(3)))
+    cfg = SlabConfig(n=200, delta=1.0, standardize=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not model.bounds_row_sums
+        x, rate = slab_sample(model, 40.0, cfg, seed=0)
+    ref, ref_rate = _exact_slab(model, 40.0, cfg, 0)
+    assert np.array_equal(x, ref)
+    assert rate == ref_rate
 
 
 def _transform_route(model):
@@ -505,7 +521,7 @@ def test_hmc_respects_polytope(t5_joint):
 def test_hmc_estimator_agrees_with_slab_and_mh(t5_joint):
     K = 8.046
     target = al.ConditionalTarget(t5_joint, K)
-    exact = elliptical_condition(t5_joint.elliptical, K).mu_K
+    exact = elliptical_condition(t5_joint, K).mu_K
     slab, _ = slab_sample(t5_joint, K, SlabConfig(n=4000, delta=0.05), seed=13)
     mh, _ = mh_chain(target, MHConfig(chain_length=20_000, seed=14))
     hmc, _ = hmc_reflect_chain(target, None,
