@@ -365,6 +365,16 @@ def _run(exp, doc, base_dir):
     modesets = [] if exp.mean_shift is None else list(rep_modes)
     warnings = [f"replication {r}: mean-shift convergence below 80%"
                 for r, ms in enumerate(modesets) if ms.convergence_warning]
+    if modesets:
+        # mean_shift_modes asks for 10 rows per dimension; repeats of a few
+        # rows meet that count, but then the modes follow the replication count
+        least = 10 * (rep_samples[0].shape[1] - 1)
+        for r, s in enumerate(rep_samples):
+            distinct = np.unique(s[:, :-1], axis=0).shape[0]
+            if distinct < least:
+                warnings.append(f"replication {r}: {distinct} distinct sample rows, "
+                                f"fewer than {least}; the modes may change with the "
+                                "replication count")
 
     eulers = [euler_allocation(s, K, ess=ess) for s, ess in zip(rep_samples, rep_ess)]
     euler_reps = np.array([e.a for e in eulers])

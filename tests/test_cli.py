@@ -428,6 +428,21 @@ def test_pipeline_deterministic(tmp_path):
     np.testing.assert_array_equal(a1["samples"], a2["samples"])
 
 
+def test_pipeline_warns_of_a_slab_with_few_distinct_rows(tmp_path):
+    # the shipped empirical slab keeps 4 distinct rows of the example CSV
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "empirical.cfg"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _, _, warnings = run_pipeline(doc, root)
+    few = [w for w in warnings if "distinct sample rows" in w]
+    assert few == [f"replication {r}: 4 distinct sample rows, fewer than 20; the modes "
+                   "may change with the replication count" for r in range(10)]
+    _, doc = small_config(tmp_path, model=M4_MODEL, capital={"rule": "fixed", "K": 40.0},
+                          sampler={"method": "slab", "n": 250, "delta": 1.0}, seed=20240801)
+    _, _, warnings = run_pipeline(doc)
+    assert not any("distinct sample rows" in w for w in warnings)
+
+
 @pytest.mark.parametrize("levelset", [
     {"level": 0.01},
     {"ranges": [[0.0, 8.0]], "level": 0.01},

@@ -1,12 +1,14 @@
 """Kernel mean-shift mode estimation and scenario weights."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import alloc_lab as al
+from alloc_lab import modes
 from alloc_lab.conditional import (
     CompleteMixTarget,
     complete_mix_dirichlet,
@@ -60,8 +62,9 @@ def test_mean_shift_ascent_property():
 
 
 # ---------------------------------------------------------------------------
-# Point-by-point references: the buffered and blocked versions must match
-# them bit for bit
+# Point-by-point references: the blocked KDE must match its reference bit
+# for bit; the fixed points must match the plain mean-shift map's to 1e-8
+# bandwidths
 # ---------------------------------------------------------------------------
 
 def loop_kde_logvalues(points, samples, bandwidth):
@@ -125,17 +128,66 @@ def _two_clusters(rng):
                                                  [0.0, 0.0, 2.0]],
      MeanShiftConfig()),
     (_two_clusters, MeanShiftConfig(start_cap=120)),
-    (_two_clusters, MeanShiftConfig(max_iter=40)),   # 76 of 400 starts converge
+    (_two_clusters, MeanShiftConfig(max_iter=40)),
     (lambda rng: np.repeat(_two_clusters(rng)[::3], 3, axis=0), MeanShiftConfig()),
 ], ids=["2d-two-clusters", "3d", "subsampled-starts", "unconverged", "duplicates"])
-def test_fixed_points_are_bitwise_the_loop_reference(data, cfg):
+def test_fixed_points_match_the_tight_loop_reference(data, cfg):
+    # the plain map run to tol 1e-13 locates every fixed point; the Newton
+    # steps must land each start on its own, and converge wherever the
+    # plain map at cfg does
     x = data(rng_from_seed(11))
     fixed, converged, H = mean_shift_fixed_points(x, cfg)
-    ref_fixed, ref_converged, ref_H = loop_fixed_points(x, cfg)
-    assert np.array_equal(fixed, ref_fixed)
-    assert np.array_equal(converged, ref_converged)
+    ref_fixed, ref_converged, ref_H = loop_fixed_points(
+        x, replace(cfg, tol=1e-13, max_iter=10 ** 5))
+    _, plain_converged, _ = loop_fixed_points(x, cfg)
+    assert ref_converged.all()
     assert np.array_equal(H, ref_H)
-    assert np.array_equal(kde_logvalues(fixed, x, H), loop_kde_logvalues(fixed, x, H))
+    assert np.all(converged[plain_converged])
+    bw = math.sqrt(np.linalg.eigvalsh(H).min())
+    err = np.linalg.norm(fixed - ref_fixed, axis=1)
+    assert np.all(err[converged] <= 1e-8 * bw)
+    # a start still on its way lies nearer its own fixed point than any other
+    dist = np.linalg.norm(fixed[:, None, :] - ref_fixed[None, :, :], axis=2)
+    nearest = ref_fixed[dist.argmin(axis=1)]
+    assert np.all(np.linalg.norm(nearest - ref_fixed, axis=1) <= 1e-8 * bw)
+
+
+def test_closed_form_2x2_solve_matches_lapack():
+    # the d = 2 closed form against LAPACK, on symmetric matrices with
+    # eigenvalues in [0.03, 1]
+    rng = rng_from_seed(14)
+    angle = rng.uniform(0.0, math.pi, 500)
+    rot = np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)],
+                   axis=1).reshape(-1, 2, 2)
+    lam = rng.uniform(0.03, 1.0, (500, 2))
+    a = rot @ (lam[:, :, None] * np.eye(2)) @ rot.transpose(0, 2, 1)
+    g = rng.standard_normal((500, 2))
+    least, x = modes._least_eig_and_solve(a, g)
+    np.testing.assert_allclose(least, lam.min(axis=1), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(x, np.linalg.solve(a, g[:, :, None])[:, :, 0], rtol=1e-10)
+
+
+def test_newton_steps_converge_in_fewer_iterations():
+    x = _two_clusters(rng_from_seed(11))
+    cfg = MeanShiftConfig(max_iter=40)
+    assert loop_fixed_points(x, cfg)[1].sum() == 76
+    assert mean_shift_fixed_points(x, cfg)[1].sum() >= 390
+
+
+def test_start_between_clusters_keeps_its_plain_basin(monkeypatch):
+    # unguarded Newton steps carry this start to the other cluster's mode
+    x = _two_clusters(rng_from_seed(11))
+    cfg = MeanShiftConfig()
+    start = np.array([[2.0, 1.5]])
+    plain, _, H = loop_fixed_points(x, cfg, starts=start)
+    bw = math.sqrt(np.linalg.eigvalsh(H).min())
+    fixed, converged, _ = mean_shift_fixed_points(x, cfg, starts=start)
+    assert converged.all()
+    assert np.linalg.norm(fixed - plain) < 0.01 * bw
+    monkeypatch.setattr(modes, "NEWTON_MIN_EIG", 1e-12)
+    monkeypatch.setattr(modes, "NEWTON_MAX_STEP", math.inf)
+    unguarded, _, _ = mean_shift_fixed_points(x, cfg, starts=start)
+    assert np.linalg.norm(unguarded - plain) > 10.0 * bw
 
 
 @pytest.mark.parametrize("scale", [1.0, 30.0])
