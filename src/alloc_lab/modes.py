@@ -1,10 +1,12 @@
 """Kernel mean-shift mode estimation and scenario plausibility weights."""
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from .conditional import pin_row_sums
 from .errors import (
@@ -30,6 +32,16 @@ KDE_BLOCK_ENTRIES = 2 ** 16    # kernel entries per block of kde_logvalues
 NEWTON_MIN_EIG = 0.02
 NEWTON_MAX_STEP = 0.35
 
+# Starts of mean_shift_modes for draws of at most GRID_MAX_DIM coordinates:
+# the local maxima of the KDE binned onto GRID_SIZE nodes per axis, in
+# whitened coordinates, over the draws' range padded by GRID_PAD kernel s.d.
+# (also where the kernel is truncated).  Draws whose cells would be wider
+# than GRID_MAX_CELL kernel s.d. start at every draw instead.
+GRID_MAX_DIM = 2
+GRID_SIZE = 256
+GRID_PAD = 4.0
+GRID_MAX_CELL = 0.25
+
 
 @dataclass
 class MeanShiftConfig:
@@ -37,7 +49,7 @@ class MeanShiftConfig:
     tol: float = 1e-6
     max_iter: int = 500
     merge_radius: float = None     # default 0.25 * sqrt(lambda_min(H))
-    start_cap: int = 2000          # subsample starts beyond this count
+    start_cap: int = 2000          # dense path: subsample starts beyond this
     min_basin_fraction: float = 0.01   # drop modes whose basin is tinier
 
     def __post_init__(self):
@@ -185,6 +197,58 @@ def mean_shift_fixed_points(samples, cfg, starts=None, rng=None):
     return pts, converged, H
 
 
+def grid_starts(samples, H):
+    """(starts, basin) from the local maxima of a binned Gaussian KDE
+    (Silverman 1982; Wand 1994), or None where the grid is too coarse.
+
+    The samples, whitened by H, are binned linearly onto the grid and
+    smoothed with the N(0, I) kernel.  Each node points at the highest node
+    of its 3**d - 1 neighbours and itself (ties to the lowest index), so the
+    pointers climb to a local maximum.  starts holds the maxima; basin[i] is
+    the index in starts of the maximum that sample i's nearest node climbs
+    to.
+    """
+    d = samples.shape[1]
+    chol = DispersionMatrix(H).chol
+    white = np.linalg.solve(chol, samples.T).T
+    lo = white.min(axis=0) - GRID_PAD
+    cell = (white.max(axis=0) + GRID_PAD - lo) / (GRID_SIZE - 1)
+    if cell.max() > GRID_MAX_CELL:
+        return None
+    shape = (GRID_SIZE,) * d
+    pos = (white - lo) / cell
+    base = np.clip(pos.astype(int), 0, GRID_SIZE - 2)
+    frac = pos - base
+    binned = np.zeros(GRID_SIZE ** d)
+    for corner in itertools.product((0, 1), repeat=d):
+        share = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
+        node = np.ravel_multi_index((base + corner).T, shape)
+        binned += np.bincount(node, share, minlength=binned.size)
+    dens = gaussian_filter(binned.reshape(shape), 1.0 / cell, truncate=GRID_PAD,
+                           mode="constant")
+    # neighbours in ascending flat offset; a strictly higher one takes over,
+    # so ties go to the lowest index
+    padded = np.pad(dens, 1, constant_values=-1.0)
+    top = np.full(shape, -np.inf)
+    step = np.zeros(shape, dtype=int)
+    strides = np.array(dens.strides) // dens.itemsize
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        height = padded[tuple(slice(1 + o, 1 + o + GRID_SIZE) for o in off)]
+        step[height > top] = np.dot(off, strides)
+        np.maximum(top, height, out=top)
+    ptr = np.arange(dens.size) + step.ravel()
+    while True:    # pointer jumping: each pass doubles how far a pointer reaches
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    peaks = np.flatnonzero((ptr == np.arange(dens.size)) & (dens.ravel() > 0.0))
+    nearest = np.ravel_multi_index(np.rint(pos).astype(int).T, shape)
+    basin = np.searchsorted(peaks, ptr[nearest])
+    starts = (lo + np.column_stack(np.unravel_index(peaks, shape)) * cell) @ chol.T
+    return starts, basin
+
+
 def radius_merge(points, logf, radius):
     """Greedy clusters of `points`, visited in descending `logf`.
 
@@ -207,16 +271,36 @@ def radius_merge(points, logf, radius):
 
 
 def mean_shift_modes(samples, target, cfg=None):
-    """Mode set of the conditional law from samples of its first d-1 coords."""
+    """Mode set of the conditional law from samples of its first d-1 coords.
+
+    Mean-shift starts at the maxima of grid_starts, each weighing the draws
+    of its basin, or, where there is no grid, at every draw (up to
+    cfg.start_cap), each weighing one.
+    """
     cfg = cfg or MeanShiftConfig()
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, d = samples.shape
     if n < 10 * d:
         raise SampleSizeError("need at least 10 samples per dimension")
-    pts, converged, H = mean_shift_fixed_points(samples, cfg)
-    converged_fraction = float(np.mean(converged))
+    H = cfg.bandwidth if cfg.bandwidth is not None else plugin_bandwidth(samples)
+    grid = grid_starts(samples, H) if d <= GRID_MAX_DIM else None
+    if grid is None:
+        # every draw (up to start_cap) starts; a basin holds many starts,
+        # and its converged ones stand for it
+        pts, converged, H = mean_shift_fixed_points(samples, cfg)
+        converged_fraction = float(np.mean(converged))
+        fixed, weight = pts, np.ones(pts.shape[0], dtype=int)
+        if converged.any():
+            fixed, weight = pts[converged], weight[converged]
+    else:
+        # one start per basin, weighing its draws: a start that stops at
+        # max_iter stays where it stopped, and its draws count as unconverged
+        starts, basin = grid
+        fixed, converged, H = mean_shift_fixed_points(
+            samples, replace(cfg, bandwidth=H), starts=starts)
+        weight = np.bincount(basin, minlength=starts.shape[0])
+        converged_fraction = float(weight[converged].sum() / n)
     warning = converged_fraction < 0.8
-    fixed = pts[converged] if converged.any() else pts
 
     radius = cfg.merge_radius
     if radius is None:
@@ -234,11 +318,11 @@ def mean_shift_modes(samples, target, cfg=None):
     seeds = [members[0] for members in clusters]
     centers = fixed[seeds]
     center_logf = logf[seeds]
-    counts = np.array([len(members) for members in clusters])
+    counts = np.array([weight[members].sum() for members in clusters])
 
     # isolated tail samples are their own KDE fixed points; a basin floor
     # keeps only fixed points that actually attract part of the sample
-    floor = max(int(round(cfg.min_basin_fraction * fixed.shape[0])), 1)
+    floor = max(int(round(cfg.min_basin_fraction * weight.sum())), 1)
     big = counts >= floor
     if not big.any():
         big = np.zeros_like(big)

@@ -2,6 +2,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +288,107 @@ def test_mode_sample_size_guard(t5_joint):
     target = al.ConditionalTarget(t5_joint, 8.0)
     with pytest.raises(SampleSizeError):
         mean_shift_modes(np.zeros((15, 2)), target)
+
+
+# ---------------------------------------------------------------------------
+# Grid starts against the dense path
+# ---------------------------------------------------------------------------
+
+def kde_ranked_target():
+    """A target without a density: its fixed points are ranked by the KDE."""
+    return SimpleNamespace(model=SimpleNamespace(has_density=False), K=0.0,
+                           support=SimpleNamespace(contains=lambda x: np.ones(len(x), bool)))
+
+
+def dense_modes(monkeypatch, samples, target, cfg=MeanShiftConfig()):
+    """mean_shift_modes with every draw a start, as without the grid."""
+    with monkeypatch.context() as m:
+        m.setattr(modes, "GRID_MAX_CELL", 0.0)
+        return mean_shift_modes(samples, target, replace(cfg, start_cap=len(samples)))
+
+
+def _complete_mix():
+    return (complete_mix_dirichlet(2.0, 10.0, 1.0, 3000, seed=3)[:, :2],
+            CompleteMixTarget(2.0, 10.0, 1.0))
+
+
+def _t5_slab(t5_joint):
+    samples, _ = slab_sample(t5_joint, 8.046, SlabConfig(n=1500, delta=0.1), seed=3)
+    return samples[:, :2], al.ConditionalTarget(t5_joint, 8.046)
+
+
+@pytest.mark.parametrize("case,count", [
+    (lambda joint: (_two_clusters(rng_from_seed(11)), kde_ranked_target()), 2),
+    (lambda joint: _complete_mix(), 3),
+    (_t5_slab, 1),
+], ids=["two-clusters", "complete-mix", "t5-slab"])
+def test_grid_starts_give_the_dense_mode_set(monkeypatch, t5_joint, case, count):
+    x, target = case(t5_joint)
+    assert modes.grid_starts(x, plugin_bandwidth(x)) is not None
+    grid = mean_shift_modes(x, target)
+    dense = dense_modes(monkeypatch, x, target)
+    assert len(grid) == len(dense) == count
+    bw = math.sqrt(np.linalg.eigvalsh(plugin_bandwidth(x)).min())
+    assert np.abs(grid.locations - dense.locations).max() <= 1e-6 * bw
+    assert np.abs(grid.basin_counts - dense.basin_counts).max() <= 0.05 * len(x)
+    assert grid.converged_fraction == dense.converged_fraction == 1.0
+
+
+def _assert_same_mode_set(a, b):
+    assert np.array_equal(a.locations, b.locations)
+    assert np.array_equal(a.log_densities, b.log_densities)
+    assert np.array_equal(a.basin_counts, b.basin_counts)
+    assert a.converged_fraction == b.converged_fraction
+
+
+def test_three_free_coordinates_take_the_dense_path(monkeypatch):
+    x = np.vstack([_two_clusters(rng_from_seed(15)), _two_clusters(rng_from_seed(16))])
+    x = np.column_stack([x, rng_from_seed(17).standard_normal(len(x))])
+    target = kde_ranked_target()
+    dense = dense_modes(monkeypatch, x, target)
+    monkeypatch.setattr(modes, "gaussian_filter", None)    # the grid is never built
+    _assert_same_mode_set(mean_shift_modes(x, target), dense)
+    assert len(dense) == 2
+
+
+def test_draws_too_spread_for_the_grid_take_the_dense_path(monkeypatch):
+    # 30 units apart at a bandwidth of 0.2: a 256-node axis has cells of
+    # about 0.6 bandwidths
+    rng = rng_from_seed(18)
+    x = np.vstack([0.5 * rng.standard_normal((200, 2)),
+                   0.5 * rng.standard_normal((200, 2)) + [30.0, 0.0]])
+    cfg = MeanShiftConfig(bandwidth=0.04 * np.eye(2))
+    target = kde_ranked_target()
+    assert modes.grid_starts(x, cfg.bandwidth) is None
+    dense = dense_modes(monkeypatch, x, target, cfg)
+    monkeypatch.setattr(modes, "gaussian_filter", None)
+    _assert_same_mode_set(mean_shift_modes(x, target, cfg), dense)
+    assert len(dense) >= 2
+
+
+def test_converged_fraction_counts_the_draws_of_each_basin(monkeypatch):
+    x = _two_clusters(rng_from_seed(11))
+    _, basin = modes.grid_starts(x, plugin_bandwidth(x))
+    big = np.bincount(basin).argmax()
+    refine = mean_shift_fixed_points
+
+    def stalls_at_the_largest_basin(samples, cfg, starts=None, rng=None):
+        fixed, converged, H = refine(samples, cfg, starts=starts, rng=rng)
+        converged[big] = False
+        return fixed, converged, H
+
+    monkeypatch.setattr(modes, "mean_shift_fixed_points", stalls_at_the_largest_basin)
+    ms = mean_shift_modes(x, kde_ranked_target())
+    assert ms.converged_fraction == np.mean(basin != big)
+    assert ms.convergence_warning
+    assert len(ms) == 2       # the stalled start keeps its basin's mode
+
+
+def test_one_iteration_raises_the_convergence_warning():
+    x = _two_clusters(rng_from_seed(11))
+    ms = mean_shift_modes(x, kde_ranked_target(), MeanShiftConfig(max_iter=1))
+    assert ms.converged_fraction == 0.0
+    assert ms.convergence_warning
 
 
 # ---------------------------------------------------------------------------

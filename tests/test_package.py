@@ -2,6 +2,9 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import alloc_lab as al
@@ -31,6 +34,17 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: imported_but_unused(path.read_text(encoding="utf-8"))
               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal adds about 0.4 s to every interpreter that imports it;
+    # the mode grid smooths with scipy.ndimage, which the package loads anyway
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, alloc_lab; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def pass_throughs(source):
