@@ -9,7 +9,7 @@ from .models import (
     EllipticalJoint,
     EllipticalModel,
     Empirical,
-    EmpiricalResampleCopula,
+    EmpiricalJoint,
     IndependenceCopula,
     Lomax,
     MarginCopula,

@@ -144,8 +144,8 @@ class TP2Report:
     worst_mrr2_violation: float
 
 
-def _tp2_scan(F, G):
-    """Worst violations of F(x)G(y) <= F(min)G(max) over all lattice pairs."""
+def _tp2_scan(F):
+    """Worst violations of F(x)F(y) <= F(min)F(max) over all lattice pairs."""
     r1, r2 = F.shape
     jj = np.arange(r2)
     jmin = np.minimum.outer(jj, jj)
@@ -154,8 +154,8 @@ def _tp2_scan(F, G):
     worst_down = 0.0               # violations of the reversed inequality
     for i in range(r1):
         for k in range(r1):
-            lhs = np.outer(F[i], G[k])
-            rhs = F[min(i, k)][jmin] * G[max(i, k)][jmax]
+            lhs = np.outer(F[i], F[k])
+            rhs = F[min(i, k)][jmin] * F[max(i, k)][jmax]
             diff = lhs - rhs
             worst_up = max(worst_up, float(diff.max()))
             worst_down = max(worst_down, float((-diff).max()))
@@ -172,17 +172,11 @@ def _tp2_verdict(up, down, slack):
     return "neither"
 
 
-def mtp2_check(density, grid, density2=None, slack=1e-9):
-    """Exhaustive lattice check of total positivity / reverse rule of order 2.
-
-    With `density2` the same engine checks the two-law TP2 order
-    f(x) g(y) <= f(x and y) g(x or y).
-    """
+def mtp2_check(density, grid, slack=1e-9):
+    """Exhaustive lattice check of total positivity / reverse rule of order 2."""
     if grid.dim != 2:
         raise ParameterError("total-positivity check is bivariate")
-    F = _evaluate(density, grid)
-    G = F if density2 is None else _evaluate(density2, grid)
-    up, down = _tp2_scan(F, G)
+    up, down = _tp2_scan(_evaluate(density, grid))
     return TP2Report(_tp2_verdict(up, down, slack), up, down)
 
 

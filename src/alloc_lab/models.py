@@ -426,9 +426,11 @@ def log_norm_const(gen, d):
 class EllipticalModel:
     """Location / dispersion / generator triple with normalized density.
 
-    EllipticalJoint adds `sample(n, seed)`; it and MarginCopula are the two
-    joint models, with `d`, `has_density`, `logpdf`, `grad_logpdf`,
-    `logpdf_and_grad`, `sample(n, seed)` and `margin_lowers()`.
+    EllipticalJoint adds `sample`; it, MarginCopula and EmpiricalJoint are
+    the three joint models, with `d`, `has_density`, `logpdf`, `grad_logpdf`,
+    `logpdf_and_grad`, `sample(n, seed, slab=None)` and `margin_lowers()`.
+    With slab = (K, delta), `sample` may leave out draws whose row sum s has
+    |s - K| >= delta, and keeps every other draw in order.
     """
 
     has_density = True
@@ -479,7 +481,7 @@ class EllipticalModel:
 class EllipticalJoint(EllipticalModel):
     """An elliptical model with a normal or t generator, which can be sampled."""
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, slab=None):
         if n < 1:
             raise SampleSizeError("need n >= 1")
         rng = rng_from_seed(seed)
@@ -507,8 +509,6 @@ class CopulaModel:
     latent value on that grid in units of cells (NaN where it has none);
     MarginCopula tabulates its latent-to-loss map on those nodes.
     """
-
-    has_density = True
 
     def latent(self, n, rng):
         raise NotImplementedError
@@ -613,33 +613,6 @@ class StudentTCopula(CopulaModel):
         return (djoint_dz - self.margin.dlogpdf(z)) * np.exp(-self.margin.logpdf(z))
 
 
-class EmpiricalResampleCopula(CopulaModel):
-    """Resamples rows of a stored pseudo-observation matrix.
-
-    Its latent draws are row indices, and `to_uniform` gathers their rows.
-    """
-
-    has_density = False
-
-    def __init__(self, pseudo_obs):
-        pseudo_obs = np.asarray(pseudo_obs, dtype=float)
-        if pseudo_obs.ndim != 2 or pseudo_obs.size == 0:
-            raise DataError("pseudo-observation store is not a nonempty n x d matrix")
-        if np.any(pseudo_obs < 0.0) or np.any(pseudo_obs > 1.0):
-            raise DataError("pseudo-observations must lie in [0, 1]")
-        self.pseudo_obs = pseudo_obs
-        self.d = pseudo_obs.shape[1]
-
-    def latent(self, n, rng):
-        return rng.integers(0, self.pseudo_obs.shape[0], size=n)
-
-    def to_uniform(self, rows):
-        return self.pseudo_obs[rows]
-
-    def logdensity(self, u):
-        raise DataError("empirical resample copula has no density")
-
-
 # ---------------------------------------------------------------------------
 # Joint models
 # ---------------------------------------------------------------------------
@@ -651,8 +624,7 @@ class MarginCopula:
         self.d = len(self.margins)
         if getattr(copula, "d", self.d) != self.d:
             raise ShapeError("copula dimension does not match the margin count")
-        self.has_density = (copula.has_density
-                            and all(m.has_density for m in self.margins))
+        self.has_density = all(m.has_density for m in self.margins)
 
     def margin_lowers(self):
         return np.array([m.lower for m in self.margins], dtype=float)
@@ -696,45 +668,30 @@ class MarginCopula:
         lp = self.logpdf(x)
         return lp, (self.grad_logpdf(x) if lp > -np.inf else None)
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, slab=None):
+        """n draws; with slab = (K, delta), the latent rows whose bounded row
+        sum misses the slab are dropped before the map to losses.  The
+        generator is used as without a slab, and the kept rows are the same."""
         if n < 1:
             raise SampleSizeError("need n >= 1")
-        return self.transform(self.copula.latent(n, rng_from_seed(seed)))
+        latent = self.copula.latent(n, rng_from_seed(seed))
+        if slab is not None and self.screen_tables is not None:
+            K, delta = slab
+            lo, hi = self.row_sum_bounds(latent)
+            lo -= K
+            hi -= K
+            # |s - K| < delta fails for s >= lo when lo - K >= delta, and
+            # for s <= hi when hi - K <= -delta
+            latent = latent[(lo < delta) & (hi > -delta)]
+        return self.transform(latent)
 
     def transform(self, latent):
         """Losses of latent draws: to the unit cube, clipped, through the margins.
 
         Works row by row, elementwise and nondecreasing in each coordinate,
-        so a row's losses do not depend on the rows drawn with it.  A row
-        store's draws are row indices, gathered from `stored_rows`.
+        so a row's losses do not depend on the rows drawn with it.
         """
-        if self.stored_rows is not None:
-            return self.stored_rows[0][latent]
-        return self._quantiles(self.copula.to_uniform(latent))
-
-    def _quantiles(self, u):
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
-        x = np.empty_like(u)
-        for j, m in enumerate(self.margins):
-            x[:, j] = m.quantile(u[:, j])
-        return x
-
-    @cached_property
-    def stored_rows(self):
-        """(losses, row sums) of every row of a row-store copula, mapped
-        once, or None for another copula.  The map and the sum work row by
-        row, so a gathered row and its sum are bitwise those of the row
-        mapped on its own."""
-        if not isinstance(self.copula, EmpiricalResampleCopula):
-            return None
-        x = self._quantiles(self.copula.pseudo_obs)
-        return x, x.sum(axis=1)
-
-    @property
-    def bounds_row_sums(self):
-        """Whether `row_sum_bounds` applies: a row store, or a copula grid
-        with finite tabulated losses."""
-        return self.stored_rows is not None or self.screen_tables is not None
+        return _quantiles(self.margins, self.copula.to_uniform(latent))
 
     @cached_property
     def screen_tables(self):
@@ -763,16 +720,12 @@ class MarginCopula:
 
     def row_sum_bounds(self, latent):
         """(lo, hi) with lo <= s <= hi for the floating-point row sums
-        s = transform(latent).sum(axis=1); needs `bounds_row_sums`.
+        s = transform(latent).sum(axis=1); needs `screen_tables`.
 
-        A row store gives the stored sums, lo = hi = s, as two arrays
-        because callers shift each in place.  Otherwise the bounds come from `screen_tables`, one coordinate at a
-        time in reused buffers, so a batch costs a few vectors of its length
-        beyond the latent draws.
+        The bounds come from `screen_tables`, one coordinate at a time in
+        reused buffers, so a batch costs a few vectors of its length beyond
+        the latent draws.
         """
-        if self.stored_rows is not None:
-            s = self.stored_rows[1][latent]
-            return s, s.copy()
         lower, upper = self.screen_tables
         n = latent.shape[0]
         lo, hi = np.zeros(n), np.zeros(n)
@@ -787,6 +740,49 @@ class MarginCopula:
             np.fmax(pos, 0.0, out=idx, casting="unsafe")
             lo += np.take(lower[j], idx, out=vals)
         return lo, hi
+
+
+def _quantiles(margins, u):
+    """Losses of unit-cube rows u: clipped, then through each margin's quantile."""
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    x = np.empty_like(u)
+    for j, m in enumerate(margins):
+        x[:, j] = m.quantile(u[:, j])
+    return x
+
+
+class EmpiricalJoint:
+    """Stored loss rows, each drawn with probability 1/n; it has no density.
+
+    `lowers` are the lower ends of the margins' supports.
+    """
+
+    has_density = False
+
+    def __init__(self, rows, lowers):
+        self.rows = np.ascontiguousarray(rows, dtype=float)
+        self.sums = self.rows.sum(axis=1)
+        self.lowers = np.asarray(lowers, dtype=float)
+        self.d = self.rows.shape[1]
+
+    def margin_lowers(self):
+        return self.lowers.copy()
+
+    def logpdf(self, x):
+        raise DataError("empirical model has no density")
+
+    grad_logpdf = logpdf_and_grad = logpdf
+
+    def sample(self, n, seed, slab=None):
+        """n stored rows drawn with replacement; with slab = (K, delta), the
+        rows whose stored sum s has |s - K| >= delta are dropped."""
+        if n < 1:
+            raise SampleSizeError("need n >= 1")
+        i = rng_from_seed(seed).integers(0, self.rows.shape[0], size=n)
+        if slab is not None:
+            K, delta = slab
+            i = i[np.abs(self.sums[i] - K) < delta]
+        return self.rows[i]
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +870,25 @@ def margin_from_config(doc, path="margin"):
     return _built(path, _MARGIN_BUILDERS[kind], m)
 
 
+def _pseudo_obs(u):
+    """u, refused unless a nonempty n x d matrix with entries in [0, 1]."""
+    if u.ndim != 2 or u.size == 0:
+        raise DataError("pseudo-observation store is not a nonempty n x d matrix")
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise DataError("pseudo-observations must lie in [0, 1]")
+    return u
+
+
+def _mapped_rows(margins, u):
+    """EmpiricalJoint of the pseudo-observation rows u mapped once through margins."""
+    if u.shape[1] != len(margins):
+        raise ShapeError("copula dimension does not match the margin count")
+    return EmpiricalJoint(_quantiles(margins, u), [m.lower for m in margins])
+
+
 def model_from_config(doc):
-    """Build an EllipticalJoint or a MarginCopula from a config mapping.
+    """Build an EllipticalJoint, a MarginCopula or (copula "empirical") an
+    EmpiricalJoint from a config mapping.
 
     Documented keys: kind, margins[], copula, nu, corr, mu, sigma.  A missing
     or mistyped value raises a ConfigurationError naming its key path, and
@@ -904,7 +917,8 @@ def model_from_config(doc):
         elif cop_name == "independence":
             copula = IndependenceCopula(len(margins))
         elif cop_name == "empirical":
-            copula = _built("model.pseudo_obs", EmpiricalResampleCopula, spec.array("pseudo_obs"))
+            u = _built("model.pseudo_obs", _pseudo_obs, spec.array("pseudo_obs"))
+            return _built("model.margins", _mapped_rows, margins, u)
         else:
             raise ParameterError(f"model.copula: unknown copula: {cop_name!r}")
         return _built("model.margins", MarginCopula, margins, copula)
@@ -912,16 +926,10 @@ def model_from_config(doc):
 
 
 def empirical_model_from_matrix(data):
-    """Empirical margins plus rank-resampling copula from a loss matrix."""
+    """The joint model of a loss matrix: its rows, each drawn with probability 1/n."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("need an n x d loss matrix with n >= 2")
-    n = data.shape[0]
-    ranks = np.empty_like(data)
-    for j in range(data.shape[1]):
-        order = np.argsort(data[:, j], kind="stable")
-        r = np.empty(n)
-        r[order] = np.arange(1, n + 1)
-        ranks[:, j] = r / (n + 1.0)
-    margins = [Empirical(data[:, j]) for j in range(data.shape[1])]
-    return MarginCopula(margins, EmpiricalResampleCopula(ranks))
+    if not np.all(np.isfinite(data)):
+        raise DataError("loss matrix contains non-finite values")
+    return EmpiricalJoint(data, data.min(axis=0))

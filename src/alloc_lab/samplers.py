@@ -45,15 +45,12 @@ class SlabConfig:
 def slab_sample(model, K, cfg, seed):
     """Unconditional draws with |1'x - K| < delta, optionally standardized.
 
-    Returns (samples, acceptance_fraction).  A model that `bounds_row_sums`
-    draws latent rows and maps to losses only the rows whose bounded row sum
-    can reach the slab; the generator is used as by `model.sample` and the
-    kept rows are the same.
+    Returns (samples, acceptance_fraction).  `model.sample` may pre-screen
+    its draws against the slab; the exact test below decides.
     """
     K = float(K)
     delta = cfg.resolved_delta(K)
     rng = rng_from_seed(seed)
-    screened = getattr(model, "bounds_row_sums", False)
     kept = []
     drawn = 0
     hits = 0
@@ -66,16 +63,7 @@ def slab_sample(model, K, cfg, seed):
                 hit_rate=rate,
             )
         m = min(batch, cfg.max_attempts - drawn)
-        if screened:
-            t = model.copula.latent(m, rng)
-            lo, hi = model.row_sum_bounds(t)
-            lo -= K
-            hi -= K
-            # |s - K| < delta fails for s >= lo when lo - K >= delta, and
-            # for s <= hi when hi - K <= -delta
-            x = model.transform(t[(lo < delta) & (hi > -delta)])
-        else:
-            x = model.sample(m, rng)
+        x = model.sample(m, rng, slab=(K, delta))
         s = x.sum(axis=1)
         sel = np.abs(s - K) < delta
         drawn += m

@@ -280,6 +280,26 @@ def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     assert key in capsys.readouterr().err
 
 
+EMPIRICAL_MODELS = {
+    "kind": {"kind": "empirical", "csv": os.path.abspath(EXAMPLE_CSV),
+             "cols": ["bank", "insurance", "fund"]},
+    "copula": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": 3.0, "scale": 1.0}] * 3,
+                   copula="empirical",
+                   pseudo_obs=np.random.default_rng(8).uniform(size=(400, 3)).tolist()),
+}
+
+
+@pytest.mark.parametrize("method", ["mh", "hmc"])
+@pytest.mark.parametrize("empirical", EMPIRICAL_MODELS)
+def test_a_chain_on_an_empirical_model_ends_in_a_data_error(tmp_path, capsys, empirical, method):
+    path, _ = small_config(tmp_path, model=EMPIRICAL_MODELS[empirical],
+                           capital={"rule": "var", "p": 0.5, "n_cal": 1000},
+                           sampler={"method": method, "chain_length": 200}, replications=1)
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "has no density" in err and "Traceback" not in err
+
+
 def _key_paths(node, keys=()):
     """The keys that lead to each value of a config document, outermost first."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
@@ -504,8 +524,8 @@ def test_ingest_csv_columns_and_flip(tmp_path):
     np.testing.assert_allclose(data, np.round(x, 6), atol=1e-9)
     flipped = build_model({"model": {"kind": "empirical", "csv": str(path),
                                      "cols": ["a", "b", "c"], "flip": [0]}})
-    np.testing.assert_array_equal(flipped.margins[0].sample, np.sort(-data[:, 0]))
-    np.testing.assert_array_equal(flipped.margins[1].sample, np.sort(data[:, 1]))
+    np.testing.assert_array_equal(flipped.rows[:, 0], -data[:, 0])
+    np.testing.assert_array_equal(flipped.rows[:, 1:], data[:, 1:])
     byidx, _ = ingest_csv(str(path), cols=[1, 2, 3])
     np.testing.assert_array_equal(byidx, data)
 

@@ -286,15 +286,24 @@ def test_independence_copula():
     np.testing.assert_array_equal(cop.logdensity([[0.2, 0.4, 0.9]]), [0.0])
 
 
-def test_empirical_resample_copula():
+def test_empirical_joint():
     store = np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.2]])
-    cop = al.EmpiricalResampleCopula(store)
-    u = cop.sample(100, rng_from_seed(4))
-    assert all(any(np.array_equal(r, s) for s in store) for r in u)
-    with pytest.raises(DataError):
-        cop.logdensity(u[:2])
-    with pytest.raises(DataError):
-        al.EmpiricalResampleCopula(np.array([[1.2, 0.3]]))
+    margins = [{"type": "normal"}, {"type": "lomax", "shape": 3.0, "scale": 1.0}]
+    doc = {"kind": "margin_copula", "copula": "empirical", "pseudo_obs": store.tolist(),
+           "margins": margins}
+    mapped = np.column_stack([al.Normal().quantile(store[:, 0]),
+                              al.Lomax(3.0, 1.0).quantile(store[:, 1])])
+    for model, rows in ((al.model_from_config(doc), mapped),
+                        (al.EmpiricalJoint(store, [0.0, 0.0]), store)):
+        x = model.sample(100, rng_from_seed(4))
+        assert all(any(np.array_equal(r, s) for s in rows) for r in x)
+        assert not model.has_density
+        for method in (model.logpdf, model.grad_logpdf, model.logpdf_and_grad):
+            with pytest.raises(DataError, match="has no density"):
+                method(x[0])
+    np.testing.assert_array_equal(al.model_from_config(doc).margin_lowers(), [-np.inf, 0.0])
+    with pytest.raises(DataError, match="model.pseudo_obs"):
+        al.model_from_config(dict(doc, pseudo_obs=[[1.2, 0.3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +353,8 @@ def test_empirical_model_from_matrix():
     assert np.all(x >= data.min(axis=0) - 1e-12)
     with pytest.raises(DataError):
         empirical_model_from_matrix(data[:1])
+    with pytest.raises(DataError, match="non-finite"):
+        empirical_model_from_matrix(np.where(data > 2.0, np.nan, data))
 
 
 # ---------------------------------------------------------------------------

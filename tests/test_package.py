@@ -77,6 +77,22 @@ def test_no_method_only_forwards_to_an_attribute():
     assert {name: methods for name, methods in found.items() if methods} == {}
 
 
+def model_internals(source):
+    """Line numbers at which source names an attribute `copula`,
+    `row_sum_bounds`, `transform` or `latent`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("copula", "row_sum_bounds", "transform", "latent"))
+
+
+def test_only_models_knows_how_a_model_draws():
+    # a sampler asks `model.sample(n, seed, slab=...)` for its draws; how
+    # they are made (latent rows, screen bounds, stored rows) stays in models.py
+    found = {path.name: model_internals(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "models.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_every_traced_name_is_an_attribute_of_its_owner():
     # perfbench/tracing.py wraps owner.__dict__[attr]: a name inherited,
     # moved or gone breaks every traced round

@@ -165,42 +165,52 @@ def test_slab_without_finite_tables_warns_nothing_and_keeps_the_exact_rows():
     cfg = SlabConfig(n=200, delta=1.0, standardize=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not model.bounds_row_sums
+        assert model.screen_tables is None
         x, rate = slab_sample(model, 40.0, cfg, seed=0)
     ref, ref_rate = _exact_slab(model, 40.0, cfg, 0)
     assert np.array_equal(x, ref)
     assert rate == ref_rate
 
 
-def _transform_route(model):
+def _transform_route(store, margins):
     """Draws of a row-store model as the per-draw map makes them: gather
     pseudo-observation rows, clip, and map them through the margins."""
     def sample(n, rng):
-        store = model.copula.pseudo_obs
         u = np.clip(store[rng.integers(0, store.shape[0], size=n)], 1e-15, 1.0 - 1e-15)
         x = np.empty_like(u)
-        for j, m in enumerate(model.margins):
+        for j, m in enumerate(margins):
             x[:, j] = m.quantile(u[:, j])
         return x
     return sample
 
 
-ROW_STORE_CASES = {
-    "empirical": lambda: al.models.empirical_model_from_matrix(
-        np.exp(0.5 * np.random.default_rng(3).standard_normal((5000, 3)))),
-    "parametric-margins": lambda: al.models.model_from_config({
-        "kind": "margin_copula", "copula": "empirical",
-        "pseudo_obs": np.random.default_rng(4).uniform(size=(3000, 3)).tolist(),
-        "margins": [{"type": "lomax", "shape": 2.5, "scale": 5.0},
-                    {"type": "student_t", "df": 4.0, "loc": 3.0},
-                    {"type": "normal", "mean": 2.0, "stdev": 0.5}]}),
-}
+def _empirical_case():
+    """A loss matrix's model, with the column ranks over n + 1 (ties in row
+    order) as pseudo-observations and empirical margins, which map them
+    back to the matrix."""
+    data = np.exp(0.5 * np.random.default_rng(3).standard_normal((5000, 3)))
+    ranks = np.argsort(np.argsort(data, axis=0, kind="stable"), axis=0, kind="stable")
+    return (al.models.empirical_model_from_matrix(data), (ranks + 1) / (data.shape[0] + 1.0),
+            [al.Empirical(column) for column in data.T])
+
+
+def _parametric_case():
+    store = np.random.default_rng(4).uniform(size=(3000, 3))
+    margins = [{"type": "lomax", "shape": 2.5, "scale": 5.0},
+               {"type": "student_t", "df": 4.0, "loc": 3.0},
+               {"type": "normal", "mean": 2.0, "stdev": 0.5}]
+    model = al.models.model_from_config({"kind": "margin_copula", "copula": "empirical",
+                                         "pseudo_obs": store.tolist(), "margins": margins})
+    return model, store, [al.models.margin_from_config(m) for m in margins]
+
+
+ROW_STORE_CASES = {"empirical": _empirical_case, "parametric-margins": _parametric_case}
 
 
 @pytest.mark.parametrize("name", ROW_STORE_CASES)
 def test_row_store_draws_are_bitwise_the_transform_route(name):
-    model = ROW_STORE_CASES[name]()
-    reference = _transform_route(model)
+    model, store, margins = ROW_STORE_CASES[name]()
+    reference = _transform_route(store, margins)
     for n in (1, 7, 20_000):
         assert np.array_equal(model.sample(n, 5), reference(n, np.random.default_rng(5)))
     # K at the median row sum, delta thin enough that most draws miss
