@@ -16,7 +16,6 @@ from .models import (
     Normal,
     NormalGen,
     ParetoI,
-    ShiftedGen,
     StudentT,
     StudentTCopula,
     StudentTGen,
@@ -26,7 +25,6 @@ from .models import (
 )
 from .conditional import (
     ConditionalTarget,
-    EllipticalConditional,
     FullSpace,
     HomotheticModel,
     ShiftedSimplex,

@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 from .errors import ConditioningError, ParameterError, RangeError, ShapeError
-from .models import DispersionMatrix, EllipticalModel, ShiftedGen, StudentTGen, rng_from_seed
+from .models import EllipticalJoint, NormalGen, StudentTGen, rng_from_seed
 
 
 def pin_row_sums(x, K):
@@ -170,19 +170,14 @@ class ConditionalTarget:
 # Elliptical conditioning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EllipticalConditional:
-    mu_K: np.ndarray
-    Sigma_K: DispersionMatrix
-    Delta_K: float
-    generator: ShiftedGen
-    model: EllipticalModel
-    t_df: float = None
-    t_dispersion: np.ndarray = None
-
-
 def elliptical_condition(ell, K):
-    """Closed-form conditional of an elliptical law given {S = K}."""
+    """The law of X' given {S = K} under a normal or t law, as an EllipticalJoint.
+
+    Both are centred at mu_K.  The normal law has the Schur complement
+    Sigma_K as its dispersion; the t_nu law becomes a t with nu + 1 degrees
+    of freedom and dispersion (nu + 2 Delta_K) / (nu + 1) * Sigma_K, with
+    Delta_K = (K - mu_S)^2 / (2 sigma_S^2) (Fang, Kotz & Ng 1990; Ding 2016).
+    """
     K = float(K)
     mu = ell.mu
     sigma = ell.dispersion.matrix
@@ -194,18 +189,14 @@ def elliptical_condition(ell, K):
     s1p = sig1[: d - 1]
     mu_k = mu[: d - 1] + (K - mu_s) / sig_s2 * s1p
     sigma_k = sigma[: d - 1, : d - 1] - np.outer(s1p, s1p) / sig_s2
-    delta_k = 0.5 * (K - mu_s) ** 2 / sig_s2
-    gen_k = ShiftedGen(ell.generator, delta_k, base_dim=d)
-    cond_model = EllipticalModel(mu_k, DispersionMatrix(sigma_k), gen_k)
-    t_df = None
-    t_disp = None
-    if isinstance(ell.generator, StudentTGen):
-        nu = ell.generator.nu
-        t_df = nu + 1.0
-        # the generator shift enters through the full squared offset 2*Delta_K
-        t_disp = (nu + 2.0 * delta_k) / (nu + 1.0) * sigma_k
-    return EllipticalConditional(mu_k, cond_model.dispersion, delta_k, gen_k,
-                                 cond_model, t_df, t_disp)
+    gen = ell.generator
+    if isinstance(gen, NormalGen):
+        return EllipticalJoint(mu_k, sigma_k, gen)
+    if isinstance(gen, StudentTGen):
+        delta_k = 0.5 * (K - mu_s) ** 2 / sig_s2
+        return EllipticalJoint(mu_k, (gen.nu + 2.0 * delta_k) / (gen.nu + 1.0) * sigma_k,
+                               StudentTGen(gen.nu + 1.0))
+    raise ParameterError("closed-form conditioning needs a normal or t generator")
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +325,6 @@ class HomotheticModel:
         self.a = float(a)
         self.mu = np.zeros(self.d) if mu is None else np.asarray(mu, dtype=float)
 
-    def r(self, t):
-        return self.a * np.exp(-np.asarray(t, dtype=float) / 2.0)
-
     def r_inverse(self, s):
         return -2.0 * np.log(np.asarray(s, dtype=float) / self.a)
 
@@ -373,10 +361,8 @@ class HomotheticModel:
         return total
 
     def normalization_integral(self):
-        """int_0^inf Leb(r(t) D) dt; equals 1 for a valid density."""
-        vol = self.leb_D()
-        val, _ = integrate.quad(lambda t: vol * float(self.r(t)) ** self.d, 0.0, np.inf)
-        return val
+        """int_0^inf Leb(r(t) D) dt = Leb(D) a^d 2/d; equals 1 for a valid density."""
+        return self.leb_D() * self.a ** self.d * 2.0 / self.d
 
     def conditional_slice(self, K):
         """Callable on x' in R^{d-1}: density at (x', K - 1'x')."""

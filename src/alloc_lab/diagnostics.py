@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, spatial
 
+from .conditional import elliptical_condition
 from .errors import InconsistencyError, ParameterError
 from .models import EllipticalModel, StudentTGen, rng_from_seed
 
@@ -243,19 +244,16 @@ class MRVReport:
 
 
 def _elliptical_t_prediction(target, x, y):
+    """-(nu' + d') log(|y| / |x|) in the metric of the conditional t law's
+    dispersion, where it has nu' degrees of freedom in d' dimensions."""
     model = getattr(target, "model", None)
-    if not isinstance(model, EllipticalModel):
+    if not (isinstance(model, EllipticalModel) and isinstance(model.generator, StudentTGen)):
         return None
-    gen = model.generator
-    if not isinstance(gen, StudentTGen):
-        return None
-    from .conditional import elliptical_condition
-
     cond = elliptical_condition(model, target.K)
-    li = np.linalg.inv(cond.Sigma_K.chol)
+    li = np.linalg.inv(cond.dispersion.chol)
     ny = np.linalg.norm(li @ y)
     nx = np.linalg.norm(li @ x)
-    return -(gen.nu + model.d) * math.log(ny / nx)
+    return -(cond.generator.nu + cond.d) * math.log(ny / nx)
 
 
 def mrv_exponent(target, x, y, t_ladder=None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     BoundaryError,
@@ -350,7 +350,8 @@ class DispersionMatrix:
 
 
 # A density generator g, evaluated at half the squared Mahalanobis distance,
-# gives log g and its derivative as log_g(t, d) and dlog_g(t, d).
+# gives log g and its derivative as log_g(t, d) and dlog_g(t, d), and the
+# log of the constant c_d that normalizes it in d dimensions as log_c(d).
 
 @dataclass(frozen=True)
 class NormalGen:
@@ -359,6 +360,9 @@ class NormalGen:
 
     def dlog_g(self, t, d):
         return -np.ones_like(np.asarray(t, dtype=float))
+
+    def log_c(self, d):
+        return -d / 2.0 * _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -376,47 +380,10 @@ class StudentTGen:
     def dlog_g(self, t, d):
         return -(d + self.nu) / (self.nu + 2.0 * np.asarray(t, dtype=float))
 
-
-@dataclass(frozen=True)
-class ShiftedGen:
-    """g_K(t) = g(t + delta), keeping the base model's dimension.
-
-    Conditioning reduces the dimension the generator is integrated over but
-    not the exponent of the parent generator, so `base_dim` (when set)
-    overrides the evaluation dimension.
-    """
-
-    base: NormalGen | StudentTGen | ShiftedGen
-    delta: float
-    base_dim: int = None
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ParameterError("shift must be nonnegative")
-
-    def log_g(self, t, d):
-        dd = self.base_dim if self.base_dim is not None else d
-        return self.base.log_g(np.asarray(t, dtype=float) + self.delta, dd)
-
-    def dlog_g(self, t, d):
-        dd = self.base_dim if self.base_dim is not None else d
-        return self.base.dlog_g(np.asarray(t, dtype=float) + self.delta, dd)
-
-
-def log_norm_const(gen, d):
-    """log c_d with c_d^{-1} = (2 pi)^{d/2} / Gamma(d/2) * int t^{d/2-1} g(t) dt.
-
-    The integral is the radial integral after substituting t = r^2 / 2.
-    """
-    a = d / 2.0
-
-    def integrand(t):
-        return np.exp((a - 1.0) * np.log(t) + gen.log_g(t, d))
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
-    if not np.isfinite(val) or val <= 0.0:
-        raise ParameterError("radial integral of the generator diverges")
-    return special.gammaln(a) - a * _LOG_2PI - math.log(val)
+    def log_c(self, d):
+        nu = self.nu
+        return special.gammaln((nu + d) / 2.0) - special.gammaln(nu / 2.0) \
+            - d / 2.0 * math.log(nu * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +411,9 @@ class EllipticalModel:
         self.dispersion = dispersion
         self.generator = generator
         self.d = self.mu.size
-        self.log_c = log_norm_const(generator, self.d)
         # log_c - 0.5 log_det + log_g adds left to right, so folding the
         # first two terms into one constant keeps every bit
-        self._log_norm = self.log_c - 0.5 * self.dispersion.log_det
+        self._log_norm = generator.log_c(self.d) - 0.5 * self.dispersion.log_det
 
     def logpdf(self, x):
         """log f at one point x of shape (d,), as a float, or at rows of
@@ -559,6 +525,7 @@ class StudentTCopula(CopulaModel):
         self.margin = StudentT(self.nu)
         self.corr = DispersionMatrix(corr)
         self.d = self.corr.d
+        self.joint = EllipticalModel(np.zeros(self.d), self.corr, StudentTGen(self.nu))
 
     def latent(self, n, rng):
         z = rng.standard_normal((n, self.d)) @ self.corr.chol.T
@@ -594,22 +561,13 @@ class StudentTCopula(CopulaModel):
 
     def logdensity(self, u):
         z = self._z(u)
-        nu, d = self.nu, self.d
-        q = self.corr.maha_sq(z)
-        log_joint = (
-            special.gammaln((nu + d) / 2.0) - special.gammaln(nu / 2.0)
-            - d / 2.0 * math.log(nu * math.pi) - 0.5 * self.corr.log_det
-            - (nu + d) / 2.0 * np.log1p(q / nu)
-        )
-        return log_joint - np.sum(self.margin.logpdf(z), axis=1)
+        return self.joint.logpdf(z) - np.sum(self.margin.logpdf(z), axis=1)
 
     def dlogdensity_du(self, u):
         """Gradient of log c wrt u, row-wise."""
         z = self._z(u)
-        nu, d = self.nu, self.d
-        q = self.corr.maha_sq(z)
-        pz = self.corr.solve(z)
-        djoint_dz = -(nu + d) / (nu + q)[:, None] * pz
+        t = 0.5 * self.corr.maha_sq(z)
+        djoint_dz = self.joint.generator.dlog_g(t, self.d)[:, None] * self.corr.solve(z)
         return (djoint_dz - self.margin.dlogpdf(z)) * np.exp(-self.margin.logpdf(z))
 
 

@@ -97,7 +97,7 @@ def test_criterion_01_conditional_mean_oracle():
     joint = t5_model()
     K = calibrated_K()
     cond = elliptical_condition(joint, K)
-    exact = np.append(cond.mu_K, K - cond.mu_K.sum())
+    exact = np.append(cond.mu, K - cond.mu.sum())
     target = al.ConditionalTarget(joint, K)
 
     estimates = {}
@@ -110,7 +110,7 @@ def test_criterion_01_conditional_mean_oracle():
     ess = np.append(diag.ess, diag.ess.mean())
     estimates["mh"] = (full.mean(axis=0), full.std(axis=0, ddof=1) / np.sqrt(ess))
 
-    mass = 1.0 / np.diag(np.asarray(cond.t_dispersion))
+    mass = 1.0 / np.diag(np.asarray(cond.dispersion.matrix))
     chain, diag = hmc_reflect_chain(
         target, None, HMCConfig(chain_length=8000, epsilon=0.25, steps=6,
                                 seed=3, mass=mass))
@@ -138,12 +138,12 @@ def test_criterion_02_t_closure_ratios():
     model = t5_model()
     K = 8.046
     cond = elliptical_condition(model, K)
-    ref = stats.multivariate_t(cond.mu_K, np.asarray(cond.t_dispersion),
-                               df=cond.t_df)
+    ref = stats.multivariate_t(cond.mu, np.asarray(cond.dispersion.matrix),
+                               df=cond.generator.nu)
     rng = rng_from_seed(7)
-    x = cond.mu_K + rng.standard_normal((100, 2)) * 1.5
-    y = cond.mu_K + rng.standard_normal((100, 2)) * 1.5
-    ours = cond.model.logpdf(x) - cond.model.logpdf(y)
+    x = cond.mu + rng.standard_normal((100, 2)) * 1.5
+    y = cond.mu + rng.standard_normal((100, 2)) * 1.5
+    ours = cond.logpdf(x) - cond.logpdf(y)
     theirs = ref.logpdf(x) - ref.logpdf(y)
     rel = float(np.max(np.abs(np.expm1(ours - theirs))))
     ok = rel < 1e-8
@@ -475,7 +475,7 @@ def test_criterion_10_structure_checks():
     # pooling two iid-normal blocks moves every per-name allocation
     pooled = elliptical_condition(
         al.EllipticalModel(np.zeros(5), al.DispersionMatrix(np.eye(5)),
-                           al.NormalGen()), 8.0).mu_K
+                           al.NormalGen()), 8.0).mu
     pooled = np.append(pooled, 8.0 - pooled.sum())
     blocks = np.array([1.0, 1.0, 2.0, 2.0, 2.0])   # K1=2 over 2, K2=6 over 3
     if float(np.min(np.abs(pooled - blocks))) <= 1e-6:

@@ -83,7 +83,7 @@ def test_allocation_sum_tolerance_is_relative_to_K():
 def test_euler_matches_conditional_mean(t5_joint):
     # for elliptical laws the Euler allocation is the conditional mean
     K = 8.046
-    exact = elliptical_condition(t5_joint, K).mu_K
+    exact = elliptical_condition(t5_joint, K).mu
     x, _ = slab_sample(t5_joint, K, SlabConfig(n=6000, delta=0.05), seed=2)
     a = euler_allocation(x, K)
     np.testing.assert_allclose(a.a[:2], exact, atol=0.1)
@@ -148,7 +148,7 @@ def test_mla_not_additive_across_pooled_blocks():
     block1 = np.full(d1, K1 / d1)             # 1.0 each
     block2 = np.full(d2, K2 / d2)             # 2.0 each
     pooled_model = normal_joint(np.eye(d1 + d2))
-    pooled = elliptical_condition(pooled_model, K1 + K2).mu_K
+    pooled = elliptical_condition(pooled_model, K1 + K2).mu
     pooled_full = np.append(pooled, (K1 + K2) - pooled.sum())
     np.testing.assert_allclose(pooled_full, np.full(5, 8.0 / 5.0), atol=1e-12)
     gap = np.abs(pooled_full - np.concatenate([block1, block2]))

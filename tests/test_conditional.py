@@ -175,13 +175,15 @@ def test_elliptical_condition_reference_quantities(t5_joint):
     cond = elliptical_condition(t5_joint, K)
     sig_s2 = float(np.ones(3) @ REF_CORR @ np.ones(3))
     assert abs(sig_s2 - 17.0 / 3.0) < 1e-12
-    np.testing.assert_allclose(cond.mu_K, K / sig_s2 * np.array([2.0, 5.0 / 3.0]),
+    np.testing.assert_allclose(cond.mu, K / sig_s2 * np.array([2.0, 5.0 / 3.0]),
                                rtol=1e-12)
-    assert abs(cond.Delta_K - 0.5 * K ** 2 / sig_s2) < 1e-12
+    delta_k = 0.5 * K ** 2 / sig_s2
     expected_sigma = REF_CORR[:2, :2] - np.outer([2.0, 5.0 / 3.0],
                                                  [2.0, 5.0 / 3.0]) / sig_s2
-    np.testing.assert_allclose(cond.Sigma_K.matrix, expected_sigma, atol=1e-12)
-    assert cond.t_df == 6.0
+    # the t dispersion is Sigma_K inflated by (nu + 2 Delta_K) / (nu + 1)
+    np.testing.assert_allclose(cond.dispersion.matrix,
+                               (5.0 + 2.0 * delta_k) / 6.0 * expected_sigma, atol=1e-12)
+    assert cond.generator.nu == 6.0
 
 
 def test_elliptical_condition_t_closure(t5_joint):
@@ -189,9 +191,9 @@ def test_elliptical_condition_t_closure(t5_joint):
     # dispersion inflated by (nu + 2 Delta_K) / (nu + 1)
     K = 8.046
     cond = elliptical_condition(t5_joint, K)
-    ref = stats.multivariate_t(cond.mu_K, np.asarray(cond.t_dispersion), df=6.0)
-    pts = cond.mu_K + np.array([[0.0, 0.0], [0.5, -0.3], [-1.2, 0.8], [2.0, 2.0]])
-    got = cond.model.logpdf(pts)
+    ref = stats.multivariate_t(cond.mu, np.asarray(cond.dispersion.matrix), df=6.0)
+    pts = cond.mu + np.array([[0.0, 0.0], [0.5, -0.3], [-1.2, 0.8], [2.0, 2.0]])
+    got = cond.logpdf(pts)
     diff = got - ref.logpdf(pts)
     # proportional: the unnormalized form differs by a constant only
     np.testing.assert_allclose(diff, diff[0] * np.ones(4), atol=1e-10)
@@ -204,8 +206,25 @@ def test_elliptical_condition_matches_slice(t5_joint):
     cond = elliptical_condition(t5_joint, K)
     target = al.ConditionalTarget(t5_joint, K)
     pts = np.array([[2.8, 2.3], [1.0, 0.5], [4.0, 3.0]])
-    diff = cond.model.logpdf(pts) - target.log_density(pts)
+    diff = cond.logpdf(pts) - target.log_density(pts)
     np.testing.assert_allclose(diff, diff[0] * np.ones(3), atol=1e-10)
+
+
+def test_elliptical_condition_draws_exactly(t5_joint):
+    # i.i.d. draws of the conditional t: their mean and covariance are mu_K and
+    # nu'/(nu' - 2) times the dispersion, and their mean is a slab sample's
+    K = 8.046
+    cond = elliptical_condition(t5_joint, K)
+    x = cond.sample(100_000, 21)
+    nu = cond.generator.nu
+    cov = nu / (nu - 2.0) * cond.dispersion.matrix
+    se = np.sqrt(np.diag(cov) / x.shape[0])
+    assert np.all(np.abs(x.mean(axis=0) - cond.mu) < 4.0 * se)
+    np.testing.assert_allclose(np.cov(x, rowvar=False), cov, rtol=0.03)
+    slab, _ = al.slab_sample(t5_joint, K, al.SlabConfig(n=4000, delta=0.05), seed=22)
+    slab_se = slab[:, :2].std(axis=0, ddof=1) / math.sqrt(slab.shape[0])
+    gap = np.abs(slab[:, :2].mean(axis=0) - x.mean(axis=0))
+    assert np.all(gap < 4.0 * np.hypot(se, slab_se))
 
 
 def test_normal_condition_matches_gaussian_formula():
@@ -218,10 +237,10 @@ def test_normal_condition_matches_gaussian_formula():
     ones = np.ones(3)
     sig1 = sigma @ ones
     mu_ref = mu[:2] + (K - mu @ ones) / (ones @ sig1) * sig1[:2]
-    np.testing.assert_allclose(cond.mu_K, mu_ref, rtol=1e-12)
-    ref = stats.multivariate_normal(mu_ref, cond.Sigma_K.matrix)
+    np.testing.assert_allclose(cond.mu, mu_ref, rtol=1e-12)
+    ref = stats.multivariate_normal(mu_ref, cond.dispersion.matrix)
     pts = mu_ref + np.array([[0.0, 0.0], [0.7, -0.4], [-1.0, 1.0]])
-    diff = cond.model.logpdf(pts) - ref.logpdf(pts)
+    diff = cond.logpdf(pts) - ref.logpdf(pts)
     np.testing.assert_allclose(diff, diff[0] * np.ones(3), atol=1e-10)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 import alloc_lab as al
 from alloc_lab.errors import (
@@ -14,7 +14,6 @@ from alloc_lab.errors import (
     ShapeError,
 )
 from alloc_lab.models import (
-    log_norm_const,
     margin_from_config,
     rng_from_seed,
     split_seeds,
@@ -139,27 +138,40 @@ def test_dispersion_jitter_repair():
     assert m.d == 2
 
 
+def _total_mass(gen, d):
+    """c_d (2 pi)^{d/2} / Gamma(d/2) * int_0^inf t^{d/2-1} g(t) dt, the radial
+    integral of c_d g(|x|^2 / 2) over R^d after substituting t = r^2 / 2."""
+    a = d / 2.0
+    val, _ = integrate.quad(lambda t: np.exp((a - 1.0) * np.log(t) + gen.log_g(t, d)),
+                            0.0, np.inf, limit=200)
+    return math.exp(gen.log_c(d) + a * math.log(2 * math.pi) - special.gammaln(a)) * val
+
+
+def _model_and_points(d, gen):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    mu, sigma = rng.standard_normal(d), a @ a.T + d * np.eye(d)
+    return al.EllipticalModel(mu, sigma, gen), mu, sigma, mu + 2.0 * rng.standard_normal((20, d))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_normal_generator_constant(d):
-    # c_d = (2 pi)^{-d/2} for g(t) = exp(-t)
-    assert abs(log_norm_const(al.NormalGen(), d) + d / 2.0 * math.log(2 * math.pi)) < 1e-10
+    # c_d = (2 pi)^{-d/2} normalizes g(t) = exp(-t)
+    gen = al.NormalGen()
+    assert abs(_total_mass(gen, d) - 1.0) < 1e-9
+    model, mu, sigma, x = _model_and_points(d, gen)
+    np.testing.assert_allclose(model.logpdf(x), stats.multivariate_normal(mu, sigma).logpdf(x),
+                               rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("d,nu", [(1, 5.0), (2, 5.0), (3, 5.0), (2, 3.5)])
+@pytest.mark.parametrize("d,nu", [(d, nu) for d in (1, 2, 3, 5) for nu in (5.0, 3.5)])
 def test_t_generator_constant(d, nu):
-    # c_d = Gamma((d+nu)/2) / ((pi nu)^{d/2} Gamma(nu/2))
-    from scipy.special import gammaln
-    expected = gammaln((d + nu) / 2) - gammaln(nu / 2) - d / 2 * math.log(math.pi * nu)
-    assert abs(log_norm_const(al.StudentTGen(nu), d) - expected) < 1e-10
-
-
-def test_shifted_generator_keeps_base_dimension():
-    gen = al.StudentTGen(5.0)
-    sh = al.ShiftedGen(gen, 1.5, base_dim=3)
-    np.testing.assert_allclose(sh.log_g(0.7, 2), gen.log_g(2.2, 3))
-    np.testing.assert_allclose(sh.dlog_g(0.7, 2), gen.dlog_g(2.2, 3))
-    with pytest.raises(ParameterError):
-        al.ShiftedGen(gen, -0.1)
+    # c_d = Gamma((d+nu)/2) / ((pi nu)^{d/2} Gamma(nu/2)) normalizes the t generator
+    gen = al.StudentTGen(nu)
+    assert abs(_total_mass(gen, d) - 1.0) < 1e-9
+    model, mu, sigma, x = _model_and_points(d, gen)
+    np.testing.assert_allclose(model.logpdf(x), stats.multivariate_t(mu, sigma, df=nu).logpdf(x),
+                               rtol=0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_unimodal_gaussian_conditional(t5_joint):
     modes = mean_shift_modes(samples[:, :2], target)
     assert len(modes) == 1
     assert modes.unique_global
-    exact = elliptical_condition(t5_joint, K).mu_K
+    exact = elliptical_condition(t5_joint, K).mu
     np.testing.assert_allclose(modes.locations[:, :-1][0], exact, atol=0.12)
     assert abs(modes.locations[0].sum() - K) < 1e-9
     assert modes.converged_fraction > 0.9

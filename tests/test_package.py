@@ -38,10 +38,12 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal adds about 0.4 s to every interpreter that imports it;
-    # the mode grid smooths with scipy.ndimage, which the package loads anyway
+    # the mode grid smooths with scipy.ndimage, which the package loads anyway.
+    # Every normalizing constant is in closed form, so no quadrature either.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, alloc_lab; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    code = ("import sys, alloc_lab; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.signal', 'scipy.integrate'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -531,7 +531,7 @@ def test_hmc_respects_polytope(t5_joint):
 def test_hmc_estimator_agrees_with_slab_and_mh(t5_joint):
     K = 8.046
     target = al.ConditionalTarget(t5_joint, K)
-    exact = elliptical_condition(t5_joint, K).mu_K
+    exact = elliptical_condition(t5_joint, K).mu
     slab, _ = slab_sample(t5_joint, K, SlabConfig(n=4000, delta=0.05), seed=13)
     mh, _ = mh_chain(target, MHConfig(chain_length=20_000, seed=14))
     hmc, _ = hmc_reflect_chain(target, None,
