@@ -7,7 +7,6 @@ from .errors import AllocLabError
 from .models import (
     DispersionMatrix,
     EllipticalJoint,
-    EllipticalModel,
     Empirical,
     EmpiricalJoint,
     IndependenceCopula,
@@ -25,7 +24,6 @@ from .models import (
 )
 from .conditional import (
     ConditionalTarget,
-    FullSpace,
     HomotheticModel,
     ShiftedSimplex,
     comonotone_allocation,

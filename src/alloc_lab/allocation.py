@@ -75,8 +75,8 @@ def mla_with_constants(model, constants, K, pipeline=None):
         out[i] = v
     k_red = float(K) - c_total
     if not free_idx:
-        if abs(c_total - K) > 1e-9:
-            raise RangeError("constants do not sum to K")
+        if abs(c_total - K) > 1e-9 * max(1.0, abs(K)):
+            raise RangeError("constants do not sum to K within 1e-9 * max(1, |K|)")
         return Allocation(out, float(K), "MLA")
     if len(free_idx) == 1:
         out[free_idx[0]] = k_red

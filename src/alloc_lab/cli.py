@@ -111,14 +111,28 @@ _SAMPLERS = {
 }
 
 
+# the keys that a rule or method of each run-level section reads ("" the
+# top level); the keys of `model` are left to build_model
+RUN_KEYS = {
+    "": ("model", "capital", "sampler", "modes", "allocate", "levelset",
+         "replications", "seed", "output"),
+    "capital": ("rule", "K", "p", "n_cal"),
+    "sampler": ("method", "core", *dict.fromkeys(k for _, keys in _SAMPLERS.values()
+                                                 for k in keys)),
+    "modes": ("enabled", "tol", "max_iter", "cluster_radius"),
+    "allocate": ("mla", "adjust", "lambda"),
+    "levelset": ("level", "ranges", "resolution"),
+}
+
+
 def validate_config(doc):
-    """The Experiment of a config document; a bad value raises a
-    ConfigurationError that names its key path."""
+    """The Experiment of a config document; a bad value or a key outside
+    RUN_KEYS raises a ConfigurationError that names its key path."""
     if not isinstance(doc, dict) or "model" not in doc:
         raise ConfigurationError("missing key: model")
-    top = _Keys(doc, "")
-    cap, sampler, modes, alloc, ls = map(
-        top.section, ("capital", "sampler", "modes", "allocate", "levelset"))
+    top = _Keys(doc, "").known(RUN_KEYS[""])
+    cap, sampler, modes, alloc, ls = (top.section(s).known(RUN_KEYS[s]) for s in
+                                      ("capital", "sampler", "modes", "allocate", "levelset"))
     rule = cap.get("rule", None, lambda v: v in ("fixed", "var"), "'fixed' or 'var'")
     K = p = n_cal = None
     if rule == "fixed":
@@ -334,7 +348,6 @@ def aggregate_modesets(modesets, radius):
             "location": members.mean(axis=0),
             "se": members.std(axis=0, ddof=1) if members.shape[0] > 1 else np.zeros(members.shape[1]),
             "support": len(set(reps[idx])) / nreps,
-            "members": members.shape[0],
             "log_density": float(logf[idx[0]]),
         })
     min_support = 0.5 if nreps > 1 else 0.0

@@ -56,19 +56,6 @@ def _row_sum(values):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FullSpace:
-    dim: int
-
-    def contains(self, xp):
-        xp = np.atleast_2d(np.asarray(xp, dtype=float))
-        return np.ones(xp.shape[0], dtype=bool)
-
-    @property
-    def bounded(self):
-        return False
-
-
-@dataclass(frozen=True)
 class ShiftedSimplex:
     """{x'_j > l_j for j <= d-1, sum x' < K - l_d}; -inf bounds drop a face."""
 
@@ -96,10 +83,7 @@ class ShiftedSimplex:
 
 
 def conditional_support(model, K):
-    lows = model.margin_lowers()
-    if np.all(np.isneginf(lows)):
-        return FullSpace(model.d - 1)
-    return ShiftedSimplex(tuple(float(v) for v in lows), float(K))
+    return ShiftedSimplex(tuple(float(v) for v in model.margin_lowers()), float(K))
 
 
 class ConditionalTarget:
@@ -112,7 +96,8 @@ class ConditionalTarget:
         self.K = float(K)
         self.d_prime = model.d - 1
         self.support = conditional_support(model, K)
-        self._everywhere = isinstance(self.support, FullSpace)
+        # all of R^{d-1}: log_density_and_grad skips the support test
+        self._everywhere = bool(np.all(np.isneginf(self.support.lower)))
 
     def lift(self, xp):
         """Map points on R^{d-1} to full loss vectors summing to K."""
@@ -235,17 +220,22 @@ def countermonotone_pair_sampler(margin, K, n, seed):
     return pin_row_sums(out, float(K))
 
 
-def complete_mix_dirichlet(alpha, beta, K, n, seed):
-    """Equal mixture of the three axis permutations of Dir(a, a, b), scaled by K."""
+def _mix_params(alpha, beta):
+    """The complete mix's Dirichlet parameters, a row per component."""
     if not 0.0 < alpha < beta:
         raise ParameterError("need 0 < alpha < beta")
-    rng = rng_from_seed(seed)
-    comp = rng.integers(0, 3, size=n)
-    params = np.array([
+    return np.array([
         [alpha, alpha, beta],
         [alpha, beta, alpha],
         [beta, alpha, alpha],
-    ])
+    ], dtype=float)
+
+
+def complete_mix_dirichlet(alpha, beta, K, n, seed):
+    """Equal mixture of the three axis permutations of Dir(a, a, b), scaled by K."""
+    params = _mix_params(alpha, beta)
+    rng = rng_from_seed(seed)
+    comp = rng.integers(0, 3, size=n)
     out = np.empty((n, 3))
     for m in range(3):
         idx = np.flatnonzero(comp == m)
@@ -263,17 +253,9 @@ class CompleteMixTarget:
     """
 
     def __init__(self, alpha, beta, K):
-        if not 0.0 < alpha < beta:
-            raise ParameterError("need 0 < alpha < beta")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.params = _mix_params(alpha, beta)
         self.K = float(K)
         self.d_prime = 2
-        self.params = np.array([
-            [alpha, alpha, beta],
-            [alpha, beta, alpha],
-            [beta, alpha, alpha],
-        ])
         self.support = ShiftedSimplex((0.0, 0.0, 0.0), self.K)
 
     def _dirichlet_logpdf(self, w, a):

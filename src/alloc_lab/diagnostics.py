@@ -10,7 +10,7 @@ from scipy import ndimage, spatial
 
 from .conditional import elliptical_condition
 from .errors import InconsistencyError, ParameterError
-from .models import EllipticalModel, StudentTGen, rng_from_seed
+from .models import EllipticalJoint, StudentTGen, rng_from_seed
 
 
 @dataclass
@@ -247,7 +247,7 @@ def _elliptical_t_prediction(target, x, y):
     """-(nu' + d') log(|y| / |x|) in the metric of the conditional t law's
     dispersion, where it has nu' degrees of freedom in d' dimensions."""
     model = getattr(target, "model", None)
-    if not (isinstance(model, EllipticalModel) and isinstance(model.generator, StudentTGen)):
+    if not (isinstance(model, EllipticalJoint) and isinstance(model.generator, StudentTGen)):
         return None
     cond = elliptical_condition(model, target.K)
     li = np.linalg.inv(cond.dispersion.chol)

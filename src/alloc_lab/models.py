@@ -387,16 +387,16 @@ class StudentTGen:
 
 
 # ---------------------------------------------------------------------------
-# Elliptical models
+# Elliptical joints
 # ---------------------------------------------------------------------------
 
-class EllipticalModel:
-    """Location / dispersion / generator triple with normalized density.
+class EllipticalJoint:
+    """A normal or t law: location, dispersion and generator.
 
-    EllipticalJoint adds `sample`; it, MarginCopula and EmpiricalJoint are
-    the three joint models, with `d`, `has_density`, `logpdf`, `grad_logpdf`,
-    `logpdf_and_grad`, `sample(n, seed, slab=None)` and `margin_lowers()`.
-    With slab = (K, delta), `sample` may leave out draws whose row sum s has
+    It, MarginCopula and EmpiricalJoint are the three joint models, with
+    `d`, `has_density`, `logpdf`, `grad_logpdf`, `logpdf_and_grad`,
+    `sample(n, seed, slab=None)` and `margin_lowers()`.  With slab =
+    (K, delta), `sample` may leave out draws whose row sum s has
     |s - K| >= delta, and keeps every other draw in order.
     """
 
@@ -442,10 +442,6 @@ class EllipticalModel:
 
     def margin_lowers(self):
         return np.full(self.d, -np.inf)
-
-
-class EllipticalJoint(EllipticalModel):
-    """An elliptical model with a normal or t generator, which can be sampled."""
 
     def sample(self, n, seed, slab=None):
         if n < 1:
@@ -525,9 +521,10 @@ class StudentTCopula(CopulaModel):
         self.margin = StudentT(self.nu)
         self.corr = DispersionMatrix(corr)
         self.d = self.corr.d
-        self.joint = EllipticalModel(np.zeros(self.d), self.corr, StudentTGen(self.nu))
+        self.joint = EllipticalJoint(np.zeros(self.d), self.corr, StudentTGen(self.nu))
 
     def latent(self, n, rng):
+        # not self.joint.sample, whose rows perfbench/tracing.py would count twice
         z = rng.standard_normal((n, self.d)) @ self.corr.chol.T
         w = rng.chisquare(self.nu, size=n) / self.nu
         return z / np.sqrt(w)[:, None]
@@ -781,6 +778,13 @@ class _Keys:
     def get(self, name, default, ok, rule):
         """doc[name], or default when absent; refused unless ok(value)."""
         return checked(self.doc.get(name, default), self.prefix + name, ok, rule)
+
+    def known(self, names):
+        """self; a key of the mapping outside names is refused, naming its path."""
+        for name in self.doc:
+            checked(name, self.prefix + name, names.__contains__,
+                    f"a known key ({', '.join(names)})")
+        return self
 
     def section(self, name):
         """The mapping doc[name], empty when absent or null."""

@@ -48,7 +48,6 @@ class MeanShiftConfig:
     bandwidth: np.ndarray = None   # PD matrix; plug-in rule if None
     tol: float = 1e-6
     max_iter: int = 500
-    merge_radius: float = None     # default 0.25 * sqrt(lambda_min(H))
     start_cap: int = 2000          # dense path: subsample starts beyond this
     min_basin_fraction: float = 0.01   # drop modes whose basin is tinier
 
@@ -70,8 +69,7 @@ def plugin_bandwidth(samples):
 @dataclass
 class ModeSet:
     locations: np.ndarray          # (M, d) lifted, rows sum to K
-    densities: np.ndarray          # unnormalized, descending
-    log_densities: np.ndarray
+    log_densities: np.ndarray      # unnormalized, descending
     basin_counts: np.ndarray
     K: float
     merge_radius: float
@@ -284,27 +282,23 @@ def mean_shift_modes(samples, target, cfg=None):
         raise SampleSizeError("need at least 10 samples per dimension")
     H = cfg.bandwidth if cfg.bandwidth is not None else plugin_bandwidth(samples)
     grid = grid_starts(samples, H) if d <= GRID_MAX_DIM else None
+    starts, basin = (None, None) if grid is None else grid
+    fixed, converged, _ = mean_shift_fixed_points(samples, replace(cfg, bandwidth=H),
+                                                  starts=starts)
     if grid is None:
         # every draw (up to start_cap) starts; a basin holds many starts,
         # and its converged ones stand for it
-        pts, converged, H = mean_shift_fixed_points(samples, cfg)
         converged_fraction = float(np.mean(converged))
-        fixed, weight = pts, np.ones(pts.shape[0], dtype=int)
+        weight = np.ones(len(fixed), dtype=int)
         if converged.any():
-            fixed, weight = pts[converged], weight[converged]
+            fixed, weight = fixed[converged], weight[converged]
     else:
         # one start per basin, weighing its draws: a start that stops at
         # max_iter stays where it stopped, and its draws count as unconverged
-        starts, basin = grid
-        fixed, converged, H = mean_shift_fixed_points(
-            samples, replace(cfg, bandwidth=H), starts=starts)
-        weight = np.bincount(basin, minlength=starts.shape[0])
+        weight = np.bincount(basin, minlength=len(fixed))
         converged_fraction = float(weight[converged].sum() / n)
     warning = converged_fraction < 0.8
-
-    radius = cfg.merge_radius
-    if radius is None:
-        radius = 0.25 * math.sqrt(float(np.linalg.eigvalsh(H).min()))
+    radius = 0.25 * math.sqrt(float(np.linalg.eigvalsh(H).min()))
 
     if getattr(getattr(target, "model", None), "has_density", True):
         logf = np.asarray(target.log_density(fixed), dtype=float)
@@ -337,7 +331,6 @@ def mean_shift_modes(samples, target, cfg=None):
         unique = (center_logf[0] - center_logf[1]) > math.log1p(1e-6)
     return ModeSet(
         locations=lifted,
-        densities=np.exp(center_logf),
         log_densities=center_logf,
         basin_counts=counts,
         K=K,
@@ -362,5 +355,8 @@ def scenario_weights(log_densities):
     w = np.exp(logf - np.max(logf[np.isfinite(logf)]))
     w[~np.isfinite(logf)] = 0.0
     w = w / w.sum()
-    w[-1] = 1.0 - w[:-1].sum()
+    # the rounding remainder goes to the last scenario of positive weight;
+    # rounding may take that weight to 0, never below
+    last = np.flatnonzero(w)[-1]
+    w[last] = max(1.0 - w[:last].sum(), 0.0)
     return w

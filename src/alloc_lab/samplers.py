@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .conditional import ShiftedSimplex, pin_row_sums
+from .conditional import pin_row_sums
 from .errors import (
     ConfigurationError,
     EfficiencyError,
@@ -92,17 +92,17 @@ def slab_sample(model, K, cfg, seed):
 @dataclass
 class ChainDiagnostics:
     acceptance_rate: float
-    autocorr: np.ndarray          # (lags+1, d) with row 0 all ones
+    lag1: np.ndarray              # lag-1 autocorrelation per coordinate
     ess: np.ndarray               # per coordinate
-    n: int
-
-    @property
-    def lag1(self):
-        return self.autocorr[1] if self.autocorr.shape[0] > 1 else np.zeros(self.autocorr.shape[1])
 
 
-def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
-    """Autocorrelations and ESS of a chain whose rows are states."""
+def chain_diagnostics(chain, acceptance_rate=None):
+    """Lag-1 autocorrelations and ESS of a chain whose rows are states.
+
+    ESS = n / max(1 + 2 (rho_1 + ... + rho_{2m-1}), 1), summed from lag 1 up,
+    by Geyer's (1992) initial positive sequence: m is the first k >= 1 with
+    rho_2k + rho_2k+1 <= 0, or the last whole pair of lags below n.
+    """
     chain = np.asarray(chain, dtype=float)
     if chain.ndim == 1:
         chain = chain[:, None]
@@ -114,20 +114,23 @@ def chain_diagnostics(chain, max_lag=50, acceptance_rate=None):
         acceptance_rate = float(np.mean(moved))
     centered = chain - chain.mean(axis=0)
     denom = np.sum(centered * centered, axis=0)
-    max_lag = min(max_lag, n - 1)
-    rho = np.ones((max_lag + 1, d))
-    for k in range(1, max_lag + 1):
+
+    def rho(k):
         num = np.sum(centered[:-k] * centered[k:], axis=0)
-        rho[k] = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
-    ess = np.empty(d)
-    for j in range(d):
-        acc = 0.0
-        for k in range(1, max_lag + 1):
-            if rho[k, j] < 0.0:
-                break
-            acc += rho[k, j]
-        ess[j] = min(n / (1.0 + 2.0 * acc), float(n))
-    return ChainDiagnostics(acceptance_rate, rho, ess, n)
+        return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
+
+    lag1 = rho(1)
+    acc = lag1.copy()
+    going = np.ones(d, dtype=bool)        # coordinates whose sum goes on
+    for k in range(2, n - 1, 2):
+        even, odd = rho(k), rho(k + 1)
+        going &= even + odd > 0.0
+        if not going.any():
+            break
+        acc[going] += even[going]
+        acc[going] += odd[going]
+    ess = n / np.maximum(1.0 + 2.0 * acc, 1.0)
+    return ChainDiagnostics(acceptance_rate, lag1, ess)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +182,8 @@ def mh_chain(target, cfg):
     """Metropolis-Hastings on the conditional target; returns (chain, diagnostics)."""
     rng = rng_from_seed(cfg.seed)
     d = target.d_prime
-    simplex = isinstance(target.support, ShiftedSimplex) and target.support.bounded
-    checked(cfg.proposal, "sampler.proposal", lambda p: simplex or p == "random_walk",
+    checked(cfg.proposal, "sampler.proposal",
+            lambda p: target.support.bounded or p == "random_walk",
             "'random_walk' on a target without a bounded simplex support")
 
     x = cfg.initial
@@ -403,7 +406,7 @@ def hmc_reflect_chain(target, polytope, cfg):
     #                                 (0 for core polytopes, whose A is 0/+-1)
     #   a @ p, a @ a, p_full @ (p_full / mass) (dot)   4,863 of 20,000
     #   np.linalg.solve with the Cholesky factor, both calls in
-    #   EllipticalModel.logpdf_and_grad   8,417 of 20,000 points against
+    #   EllipticalJoint.logpdf_and_grad   8,417 of 20,000 points against
     #                                     forward substitution
     #   np.log1p in the Student-t generator   1,390 of 20,000 against math.log1p
     # The rest runs as single IEEE operations (+ - * / and comparisons) on

@@ -474,7 +474,7 @@ def test_criterion_10_structure_checks():
 
     # pooling two iid-normal blocks moves every per-name allocation
     pooled = elliptical_condition(
-        al.EllipticalModel(np.zeros(5), al.DispersionMatrix(np.eye(5)),
+        al.EllipticalJoint(np.zeros(5), al.DispersionMatrix(np.eye(5)),
                            al.NormalGen()), 8.0).mu
     pooled = np.append(pooled, 8.0 - pooled.sum())
     blocks = np.array([1.0, 1.0, 2.0, 2.0, 2.0])   # K1=2 over 2, K2=6 over 3

@@ -30,8 +30,7 @@ from conftest import REF_CORR, normal_joint
 def make_modeset(locations, K, unique=True):
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     logf = -np.arange(locations.shape[0], dtype=float)
-    return ModeSet(locations=locations, densities=np.exp(logf),
-                   log_densities=logf, basin_counts=np.full(len(logf), 100),
+    return ModeSet(locations=locations, log_densities=logf, basin_counts=np.full(len(logf), 100),
                    K=float(K), merge_radius=0.1, unique_global=unique,
                    converged_fraction=1.0, convergence_warning=False)
 
@@ -129,6 +128,21 @@ def test_mla_with_constants_paths():
     a = mla_with_constants(model, [(1, 4.0)], 10.0, pipeline=pipeline)
     assert seen["k"] == 6.0
     np.testing.assert_array_equal(a.a, [3.0, 4.0, 3.0])
+
+
+def test_mla_with_constants_tolerance_scales_with_k():
+    # constants that split K = 1e7 sum to it only up to rounding, a few ulps
+    # of 1e7 (1.9e-9 each); they are refused only when Allocation would
+    # refuse them, off by more than 1e-9 * max(1, |K|)
+    K = 1e7
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        parts = rng.uniform(0.0, 1.0, size=rng.integers(2, 6))
+        parts = parts / parts.sum() * K
+        a = mla_with_constants(None, list(enumerate(parts.tolist())), K)
+        np.testing.assert_array_equal(a.a, parts)
+    with pytest.raises(RangeError):
+        mla_with_constants(None, [(0, 0.5 * K), (1, 0.5 * K + 0.1)], K)
 
 
 def test_mla_with_constants_errors():

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import signal
 import tracemalloc
 from contextlib import contextmanager
@@ -343,6 +344,44 @@ def test_every_mutated_value_passes_check_or_is_refused_naming_its_key():
     assert not unnamed
 
 
+def test_every_misspelled_run_key_is_refused_naming_its_path():
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in ("m1", "m2", "m3", "m4", "core_t5", "empirical"):
+        with open(os.path.join(root, f"{name}.cfg"), encoding="utf-8") as fh:
+            base = json.load(fh)
+        # the top-level keys, and the keys of each run-level section
+        paths = [(key,) for key in base if key != "model"]
+        paths += [(s, key) for s in cli.RUN_KEYS if s and s in base for key in base[s]]
+        assert len(paths) >= 13
+        for keys in paths:
+            doc = json.loads(json.dumps(base))
+            parent = doc if len(keys) == 1 else doc[keys[0]]
+            wrong = keys[-1] + keys[-1][-1]
+            parent[wrong] = parent.pop(keys[-1])
+            path = ".".join(keys[:-1] + (wrong,))
+            with pytest.raises(ConfigurationError, match=re.escape(path)):
+                validate_config(doc)
+
+
+def test_readme_schema_block_lists_every_run_key():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("### Config schema (JSON)")[1].split("```")[1]
+    listed, section = {"": set()}, None
+    for line in block.splitlines():
+        top = re.match(r'  "(\w+)":', line)
+        if top:
+            section = top.group(1)
+            listed[""].add(section)
+            line = line[top.end():]
+        elif not line.startswith("   "):    # the braces around the document
+            continue
+        listed.setdefault(section, set()).update(re.findall(r'"(\w+)":', line))
+    del listed["model"]    # model keys depend on model.kind, and are not run keys
+    assert {s: keys for s, keys in listed.items() if keys} == {
+        s: set(keys) for s, keys in cli.RUN_KEYS.items()}
+
+
 def test_validate_config_rejects_non_finite_K():
     with pytest.raises(ConfigurationError, match="capital.K"):
         validate_config({"model": {}, "capital": {"rule": "fixed", "K": float("nan")}})
@@ -483,7 +522,7 @@ def test_pipeline_refuses_a_bad_levelset_before_sampling(tmp_path, monkeypatch, 
 def make_ms(locs, logfs, K):
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     logfs = np.asarray(logfs, dtype=float)
-    return ModeSet(locations=locs, densities=np.exp(logfs), log_densities=logfs,
+    return ModeSet(locations=locs, log_densities=logfs,
                    basin_counts=np.full(len(logfs), 10), K=K, merge_radius=0.1,
                    unique_global=len(logfs) == 1, converged_fraction=1.0,
                    convergence_warning=False)

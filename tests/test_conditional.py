@@ -10,7 +10,6 @@ from scipy import stats
 import alloc_lab as al
 from alloc_lab.conditional import (
     CompleteMixTarget,
-    FullSpace,
     ShiftedSimplex,
     complete_mix_dirichlet,
     comonotone_allocation,
@@ -49,7 +48,9 @@ def test_pin_row_sums_unreachable():
 
 
 def test_support_selection(t5_joint, m1_model):
-    assert isinstance(conditional_support(t5_joint, 8.0), FullSpace)
+    free = conditional_support(t5_joint, 8.0)
+    assert isinstance(free, ShiftedSimplex) and not free.bounded
+    assert free.contains(np.array([[-1e300, 1e300], [0.0, 0.0]])).all()
     sup = conditional_support(m1_model, 40.0)
     assert isinstance(sup, ShiftedSimplex)
     assert sup.bounded
@@ -230,7 +231,7 @@ def test_elliptical_condition_draws_exactly(t5_joint):
 def test_normal_condition_matches_gaussian_formula():
     mu = np.array([1.0, -0.5, 0.2])
     sigma = REF_CORR * 2.0
-    ell = al.EllipticalModel(mu, al.DispersionMatrix(sigma), al.NormalGen())
+    ell = al.EllipticalJoint(mu, al.DispersionMatrix(sigma), al.NormalGen())
     K = 3.5
     cond = elliptical_condition(ell, K)
     # classical conditional: N(mu' + (K - mu_S)/sig_S^2 Sigma'1, Schur complement)

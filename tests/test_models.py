@@ -151,7 +151,7 @@ def _model_and_points(d, gen):
     rng = np.random.default_rng(d)
     a = rng.standard_normal((d, d))
     mu, sigma = rng.standard_normal(d), a @ a.T + d * np.eye(d)
-    return al.EllipticalModel(mu, sigma, gen), mu, sigma, mu + 2.0 * rng.standard_normal((20, d))
+    return al.EllipticalJoint(mu, sigma, gen), mu, sigma, mu + 2.0 * rng.standard_normal((20, d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -180,7 +180,7 @@ def test_t_generator_constant(d, nu):
 
 def test_elliptical_normal_matches_scipy():
     mu = np.array([0.5, -1.0, 2.0])
-    ell = al.EllipticalModel(mu, al.DispersionMatrix(REF_CORR), al.NormalGen())
+    ell = al.EllipticalJoint(mu, al.DispersionMatrix(REF_CORR), al.NormalGen())
     ref = stats.multivariate_normal(mu, REF_CORR)
     x = rng_from_seed(0).standard_normal((50, 3)) * 2.0
     np.testing.assert_allclose(ell.logpdf(x), ref.logpdf(x), rtol=1e-12)
@@ -207,7 +207,9 @@ def test_elliptical_t_sampling_moments(t5_joint):
 
 
 def test_elliptical_joint_adds_only_sample(t5_joint):
-    assert {k for k in vars(al.EllipticalJoint) if not k.startswith("__")} == {"sample"}
+    # one class: the density and the sampler are EllipticalJoint's own
+    assert al.EllipticalJoint.__bases__ == (object,) and not hasattr(al, "EllipticalModel")
+    assert {"logpdf", "logpdf_and_grad", "sample"} <= set(vars(al.EllipticalJoint))
     assert not hasattr(t5_joint, "elliptical")
     # an int seed and a Generator made from it give the same draws
     assert np.array_equal(t5_joint.sample(50, 3), t5_joint.sample(50, rng_from_seed(3)))
@@ -217,7 +219,7 @@ def test_elliptical_joint_adds_only_sample(t5_joint):
 
 def test_elliptical_shape_mismatch():
     with pytest.raises(ShapeError):
-        al.EllipticalModel([0.0, 0.0], al.DispersionMatrix(REF_CORR), al.NormalGen())
+        al.EllipticalJoint([0.0, 0.0], al.DispersionMatrix(REF_CORR), al.NormalGen())
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,18 @@ def test_t_copula_samples_in_cube():
     assert np.all((u > 0.0) & (u < 1.0))
     # uniform margins
     assert abs(u[:, 0].mean() - 0.5) < 0.02
+
+
+def test_t_copula_draws_without_its_joint_sampler(m1_model, monkeypatch):
+    # the copula's joint is an EllipticalJoint, but a model draw must not go
+    # through its sample, or a tracer of EllipticalJoint.sample counts it twice
+    assert isinstance(m1_model.copula.joint, al.EllipticalJoint)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("EllipticalJoint.sample called")
+
+    monkeypatch.setattr(al.EllipticalJoint, "sample", refuse)
+    assert m1_model.sample(100, 0).shape == (100, 3)
 
 
 def test_t_copula_boundary_error():

@@ -256,7 +256,7 @@ def test_mode_ordering_and_basins():
     target = CompleteMixTarget(2.0, 10.0, K)
     x = complete_mix_dirichlet(2.0, 10.0, K, 3000, seed=5)
     modes = mean_shift_modes(x[:, :2], target)
-    assert np.all(np.diff(modes.densities) <= 1e-12)
+    assert np.all(np.diff(modes.log_densities) <= 1e-12)
     assert modes.basin_counts.sum() > 0.9 * min(3000, 2000)
 
 
@@ -404,6 +404,18 @@ def test_scenario_weights_exchangeable():
     assert w.sum() == 1.0
     assert np.all(w > 0.0)
     np.testing.assert_allclose(w, np.full(len(modes), 1.0 / len(modes)), atol=0.1)
+
+
+def test_scenario_weights_never_negative():
+    # a zero-density scenario last: the rounding remainder of the others
+    # must not land on its weight
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        logf = rng.normal(0.0, 3.0, size=rng.integers(3, 6))
+        logf[-1] = -np.inf
+        w = scenario_weights(logf)
+        assert np.all(w >= 0.0) and w[-1] == 0.0
+        assert abs(w.sum() - 1.0) <= 1e-15
 
 
 def test_scenario_weights_degenerate():

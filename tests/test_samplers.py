@@ -264,6 +264,21 @@ def test_diagnostics_ar1_ess():
     assert abs(diag.ess[0] - n / 3.0) < 0.1 * n / 3.0
 
 
+def test_diagnostics_ess_sums_past_lag_50():
+    # AR(1) with phi = 0.98: IACT = 99, so ESS ~ n / 99.  rho_50 is still
+    # 0.36; a sum cut at lag 50 reads about n / 63.  Geyer's estimate
+    # spreads by about 10 % across seeds at this n.
+    rng = np.random.default_rng(0)
+    n = 100_000
+    eps = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = eps[0]
+    for i in range(1, n):
+        x[i] = 0.98 * x[i - 1] + eps[i]
+    diag = chain_diagnostics(x[:, None])
+    assert abs(diag.ess[0] - n / 99.0) < 0.15 * n / 99.0
+
+
 def test_diagnostics_acceptance_from_moves():
     chain = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [2.0]] * 40)
     diag = chain_diagnostics(chain)
