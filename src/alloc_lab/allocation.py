@@ -23,7 +23,6 @@ class Allocation:
     K: float
     method: str
     se: np.ndarray = None
-    projection: float = 0.0
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -38,11 +37,10 @@ def euler_allocation(samples, K, ess=None):
     if n < 30:
         raise SampleSizeError("need at least 30 conditional samples")
     abar = samples.mean(axis=0)
-    proj = (abar.sum() - K) / d
-    a = abar - proj
+    a = abar - (abar.sum() - K) / d
     neff = np.full(d, n, dtype=float) if ess is None else np.asarray(ess, dtype=float)
     se = samples.std(axis=0, ddof=1) / np.sqrt(neff)
-    return Allocation(a, float(K), "Euler", se=se, projection=float(proj))
+    return Allocation(a, float(K), "Euler", se=se)
 
 
 def mla(modeset):

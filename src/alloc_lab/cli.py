@@ -67,15 +67,10 @@ def load_config(path):
 
 
 def _read_config(path):
+    with _opened(path, ConfigurationError, "config file ") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         doc = json.loads(text)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
-        raise ConfigurationError(
-            f"cannot read config file {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config parse error at line {exc.lineno}: {exc.msg}")
     return doc, hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -123,6 +118,10 @@ RUN_KEYS = {
     "allocate": ("mla", "adjust", "lambda"),
     "levelset": ("level", "ranges", "resolution"),
 }
+
+# the keys of an empirical model, which build_model reads; models.MODEL_KEYS
+# holds those of the other kinds
+EMPIRICAL_KEYS = ("kind", "csv", "cols", "flip")
 
 
 def validate_config(doc):
@@ -178,7 +177,7 @@ def _is_ranges(v):
 def build_model(doc, base_dir="."):
     spec = doc["model"]
     if isinstance(spec, dict) and spec.get("kind") == "empirical":
-        keys = _Keys(spec, "model")
+        keys = _Keys(spec, "model").known(EMPIRICAL_KEYS)
         path = keys.get("csv", None, lambda v: isinstance(v, str) and v, "a file path")
         cols = keys.get("cols", None, lambda v: v is None or isinstance(v, list) and len(v) > 1
                         and all(isinstance(c, (str, int)) and not isinstance(c, bool) for c in v),
@@ -460,6 +459,20 @@ def _run(exp, doc, base_dir):
 # ---------------------------------------------------------------------------
 
 @contextmanager
+def _opened(path, error, what=""):
+    """path opened for reading UTF-8 text; a missing or unreadable file is
+    raised as `error`, naming the path and, before it, `what` it is."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise error(f"{what or 'file '}not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
+        raise error(f"cannot read {what}{path}: "
+                    f"{getattr(exc, 'strerror', 'not UTF-8 text')}") from None
+
+
+@contextmanager
 def _created(path, newline=None):
     """path opened for writing text; an OSError is raised as a DataError
     that names the path."""
@@ -539,6 +552,8 @@ def run_experiment(config_path, output=None):
     doc, config_hash, exp, base_dir, out_dir = _prepare(config_path, output)
     report, artifacts, warnings = _run(exp, doc, base_dir)
     write_report(report, artifacts, exp, config_hash, out_dir)
+    for text in warnings:
+        print(f"warning: {text}", file=sys.stderr)
     return 2 if warnings else 0
 
 
@@ -566,38 +581,33 @@ def ingest_csv(path, cols=None):
     which count as dropped rows here), goes through the exact row loop
     `_parse_rows` instead, so both give the same matrix, count and errors.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # readline, not iteration, so that tell() works afterwards
-            reader = csv.reader(iter(fh.readline, ""))
+    with _opened(path, DataError) as fh:
+        # readline, not iteration, so that tell() works afterwards
+        reader = csv.reader(iter(fh.readline, ""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty file")
+        except csv.Error as exc:
+            raise DataError(f"row 1: {exc}") from None
+        body = fh.tell()
+        lines = _count_lines(fh)
+        idx = _column_indices(header, cols)
+        data = None
+        if lines:
+            fh.seek(body)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("empty file")
-            except csv.Error as exc:
-                raise DataError(f"row 1: {exc}") from None
-            body = fh.tell()
-            lines = _count_lines(fh)
-            idx = _column_indices(header, cols)
-            data = None
-            if lines:
-                fh.seek(body)
-                try:
-                    with warnings.catch_warnings():
-                        # a body of blank lines: loadtxt warns and returns no rows
-                        warnings.simplefilter("ignore", UserWarning)
-                        data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                          usecols=idx, ndmin=2)
-                except (ValueError, OverflowError):    # a cell or a column index it refuses
-                    pass
-            dropped = []    # indices into the body's records of the dropped rows
-            if data is None or data.shape[0] < lines:
-                fh.seek(body)
-                data, dropped = _parse_rows(csv.reader(fh), idx)
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}")
-    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
-        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}")
+                with warnings.catch_warnings():
+                    # a body of blank lines: loadtxt warns and returns no rows
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                      usecols=idx, ndmin=2)
+            except (ValueError, OverflowError):    # a cell or a column index it refuses
+                pass
+        dropped = []    # indices into the body's records of the dropped rows
+        if data is None or data.shape[0] < lines:
+            fh.seek(body)
+            data, dropped = _parse_rows(csv.reader(fh), idx)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         rnum = int(bad[0])
@@ -691,7 +701,7 @@ def export_plotdata(report_dir, kind, out_path):
         data, _ = ingest_csv(src)
         _write_csv(out_path, ["x1", "x2"], [list(map(float, r[:2])) for r in data])
     else:
-        with open(src, "r", encoding="utf-8") as fh:
+        with _opened(src, DataError) as fh:
             text = fh.read()
         with _created(out_path) as out:
             out.write(text)

@@ -42,6 +42,15 @@ def pin_row_sums(x, K):
     return x
 
 
+def lift(xp, K):
+    """Points x' on R^{d-1} as full loss vectors (x', K - 1'x'), pinned to
+    sum to K; rows for rows, one vector for one point."""
+    xp = np.asarray(xp, dtype=float)
+    xp2 = np.atleast_2d(xp)
+    full = pin_row_sums(np.concatenate([xp2, (K - xp2.sum(axis=1))[:, None]], axis=1), K)
+    return full[0] if xp.ndim == 1 else full
+
+
 def _row_sum(values):
     """Fewer than 8 floats summed as numpy sums a row of them: from +0.0,
     left to right (numpy adds 8 or more pairwise)."""
@@ -62,15 +71,11 @@ class ShiftedSimplex:
     lower: tuple
     K: float
 
-    @property
-    def dim(self):
-        return len(self.lower) - 1
-
     def contains(self, xp):
         xp = np.atleast_2d(np.asarray(xp, dtype=float))
         lows = np.asarray(self.lower, dtype=float)
         ok = np.ones(xp.shape[0], dtype=bool)
-        for j in range(self.dim):
+        for j in range(len(lows) - 1):
             if np.isfinite(lows[j]):
                 ok &= xp[:, j] > lows[j]
         if np.isfinite(lows[-1]):
@@ -84,6 +89,18 @@ class ShiftedSimplex:
 
 def conditional_support(model, K):
     return ShiftedSimplex(tuple(float(v) for v in model.margin_lowers()), float(K))
+
+
+def _on_support(support, xp, logf):
+    """logf(rows) at the points xp inside support, -inf at the others; a
+    float for one point."""
+    xp = np.asarray(xp, dtype=float)
+    xp2 = np.atleast_2d(xp)
+    out = np.full(xp2.shape[0], -np.inf)
+    ok = support.contains(xp2)
+    if np.any(ok):
+        out[ok] = logf(xp2[ok])
+    return float(out[0]) if xp.ndim == 1 else out
 
 
 class ConditionalTarget:
@@ -100,23 +117,11 @@ class ConditionalTarget:
         self._everywhere = bool(np.all(np.isneginf(self.support.lower)))
 
     def lift(self, xp):
-        """Map points on R^{d-1} to full loss vectors summing to K."""
-        xp = np.asarray(xp, dtype=float)
-        single = xp.ndim == 1
-        xp2 = np.atleast_2d(xp)
-        full = np.concatenate([xp2, (self.K - xp2.sum(axis=1))[:, None]], axis=1)
-        full = pin_row_sums(full, self.K)
-        return full[0] if single else full
+        """`lift(xp, K)` at this target's K."""
+        return lift(xp, self.K)
 
     def log_density(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        single = xp.ndim == 1
-        xp2 = np.atleast_2d(xp)
-        out = np.full(xp2.shape[0], -np.inf)
-        ok = self.support.contains(xp2)
-        if np.any(ok):
-            out[ok] = np.atleast_1d(self.model.logpdf(self.lift(xp2[ok])))
-        return float(out[0]) if single else out
+        return _on_support(self.support, xp, lambda rows: self.model.logpdf(self.lift(rows)))
 
     def grad_log_density(self, xp):
         """Gradient at one point; None outside the support."""
@@ -263,20 +268,12 @@ class CompleteMixTarget:
         return logc + np.sum((a - 1.0) * np.log(w), axis=1)
 
     def log_density(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        single = xp.ndim == 1
-        xp2 = np.atleast_2d(xp)
-        out = np.full(xp2.shape[0], -np.inf)
-        ok = self.support.contains(xp2)
-        if np.any(ok):
-            w = np.column_stack([
-                xp2[ok] / self.K,
-                1.0 - xp2[ok].sum(axis=1) / self.K,
-            ])
-            parts = np.stack([self._dirichlet_logpdf(w, a) for a in self.params])
-            out[ok] = special.logsumexp(parts, axis=0) - math.log(3.0) \
-                - 2.0 * math.log(self.K)
-        return float(out[0]) if single else out
+        return _on_support(self.support, xp, self._log_density_inside)
+
+    def _log_density_inside(self, xp):
+        w = np.column_stack([xp / self.K, 1.0 - xp.sum(axis=1) / self.K])
+        parts = np.stack([self._dirichlet_logpdf(w, a) for a in self.params])
+        return special.logsumexp(parts, axis=0) - math.log(3.0) - 2.0 * math.log(self.K)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,7 @@ class GridSpec:
         return [np.linspace(lo, hi, self.resolution) for lo, hi in self.ranges]
 
     def points(self):
-        axes = self.axes()
-        if self.dim == 1:
-            return axes[0][:, None]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
     def cell_sizes(self):

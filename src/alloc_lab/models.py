@@ -90,9 +90,7 @@ def rng_from_seed(seed):
 
 
 def split_seeds(seed, n):
-    """Derive n independent child seeds from one master seed."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(n)
+    """Derive n independent child seeds from one int master seed."""
     return np.random.SeedSequence(seed).spawn(n)
 
 
@@ -101,7 +99,7 @@ def split_seeds(seed, n):
 # ---------------------------------------------------------------------------
 
 class Margin:
-    """One-dimensional marginal distribution."""
+    """One-dimensional marginal distribution; `_ppf` is its quantile formula."""
 
     lower = -math.inf
     upper = math.inf
@@ -109,9 +107,6 @@ class Margin:
 
     def cdf(self, x):
         raise NotImplementedError
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def logpdf(self, x):
         raise NotImplementedError
@@ -121,7 +116,14 @@ class Margin:
         raise NotImplementedError
 
     def quantile(self, p):
-        raise NotImplementedError
+        """The p-quantile; refuses a NaN, a p outside [0, 1], and p = 0 or 1
+        at an infinite end of the support."""
+        p = np.asarray(p, dtype=float)
+        low, high = self.lower > -math.inf, self.upper < math.inf
+        if not np.all((p >= 0.0 if low else p > 0.0) & (p <= 1.0 if high else p < 1.0)):
+            raise ParameterError("quantile needs p in "
+                                 f"{'[' if low else '('}0, 1{']' if high else ')'}")
+        return self._ppf(p)
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,7 @@ class Lomax(Margin):
         x = np.asarray(x, dtype=float)
         return -(self.shape + 1.0) / (self.scale + x)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ParameterError("probability outside [0, 1]")
-        if np.any(p == 1.0):
-            raise ParameterError("upper endpoint is infinite")
+    def _ppf(self, p):
         return self.scale * np.expm1(-np.log1p(-p) / self.shape)
 
 
@@ -193,12 +190,7 @@ class ParetoI(Margin):
         x = np.asarray(x, dtype=float)
         return -(self.shape + 1.0) / x
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ParameterError("probability outside [0, 1]")
-        if np.any(p == 1.0):
-            raise ParameterError("upper endpoint is infinite")
+    def _ppf(self, p):
         return self.minimum * np.exp(-np.log1p(-p) / self.shape)
 
 
@@ -229,10 +221,7 @@ class StudentT(Margin):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return -(self.df + 1.0) * z / (self.df + z * z) / self.scale
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ParameterError("support is unbounded; need 0 < p < 1")
+    def _ppf(self, p):
         return self.loc + self.scale * special.stdtrit(self.df, p)
 
 
@@ -256,10 +245,7 @@ class Normal(Margin):
     def dlogpdf(self, x):
         return -(np.asarray(x, dtype=float) - self.mean) / (self.stdev ** 2)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ParameterError("support is unbounded; need 0 < p < 1")
+    def _ppf(self, p):
         return self.mean + self.stdev * special.ndtri(p)
 
 
@@ -291,10 +277,7 @@ class Empirical(Margin):
     def logpdf(self, x):
         raise DataError("empirical margin has no density")
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ParameterError("probability outside [0, 1]")
+    def _ppf(self, p):
         n = self.sample.size
         k = np.maximum(np.ceil(p * n).astype(int), 1)
         return self.sample[np.minimum(k, n) - 1]
@@ -613,7 +596,7 @@ class MarginCopula:
         if not self.has_density:
             raise DataError("model has no density")
         u = np.array([m.cdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-        pdf = np.array([m.pdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
+        pdf = np.array([np.exp(m.logpdf(x[j])) for j, m in enumerate(self.margins)], dtype=float)
         dlm = np.array([m.dlogpdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
         dc = self.copula.dlogdensity_du(u[None, :])[0]
         return dc * pdf + dlm
@@ -814,13 +797,22 @@ def _built(path, build, *args, **kwargs):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+# margin type -> (the keys of its config mapping besides "type", its builder)
 _MARGIN_BUILDERS = {
-    "lomax": lambda m: Lomax(m.number("shape"), m.number("scale")),
-    "pareto1": lambda m: ParetoI(m.number("shape"), m.number("minimum")),
-    "student_t": lambda m: StudentT(m.number("df"), m.number("loc", 0.0),
-                                    m.number("scale", 1.0)),
-    "normal": lambda m: Normal(m.number("mean", 0.0), m.number("stdev", 1.0)),
-    "empirical": lambda m: Empirical(m.array("sample")),
+    "lomax": (("shape", "scale"), lambda m: Lomax(m.number("shape"), m.number("scale"))),
+    "pareto1": (("shape", "minimum"),
+                lambda m: ParetoI(m.number("shape"), m.number("minimum"))),
+    "student_t": (("df", "loc", "scale"), lambda m: StudentT(
+        m.number("df"), m.number("loc", 0.0), m.number("scale", 1.0))),
+    "normal": (("mean", "stdev"),
+               lambda m: Normal(m.number("mean", 0.0), m.number("stdev", 1.0))),
+    "empirical": (("sample",), lambda m: Empirical(m.array("sample"))),
+}
+
+# model kind -> the keys of `model` that its branch of model_from_config may read
+MODEL_KEYS = {
+    "elliptical": ("kind", "generator", "nu", "mu", "sigma"),
+    "margin_copula": ("kind", "margins", "copula", "nu", "corr", "pseudo_obs"),
 }
 
 
@@ -829,7 +821,8 @@ def margin_from_config(doc, path="margin"):
     kind = doc.get("type")
     if not isinstance(kind, str) or kind not in _MARGIN_BUILDERS:
         raise ParameterError(f"{path}.type: unknown margin type: {kind!r}")
-    return _built(path, _MARGIN_BUILDERS[kind], m)
+    keys, build = _MARGIN_BUILDERS[kind]
+    return _built(path, build, m.known(("type", *keys)))
 
 
 def _pseudo_obs(u):
@@ -852,12 +845,15 @@ def model_from_config(doc):
     """Build an EllipticalJoint, a MarginCopula or (copula "empirical") an
     EmpiricalJoint from a config mapping.
 
-    Documented keys: kind, margins[], copula, nu, corr, mu, sigma.  A missing
-    or mistyped value raises a ConfigurationError naming its key path, and
-    an error of a model constructor carries the key path of its value.
+    A key outside MODEL_KEYS of its kind, or a missing or mistyped value,
+    raises a ConfigurationError naming its key path, and an error of a model
+    constructor carries the key path of its value.
     """
     spec = _Keys(doc, "model")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in MODEL_KEYS:
+        raise ParameterError(f"model.kind: unknown model kind: {kind!r}")
+    spec.known(MODEL_KEYS[kind])
     if kind == "elliptical":
         gen_name = doc.get("generator", "normal")
         if gen_name == "normal":
@@ -868,23 +864,21 @@ def model_from_config(doc):
             raise ParameterError(f"model.generator: unknown generator: {gen_name!r}")
         sigma = _built("model.sigma", DispersionMatrix, spec.array("sigma"))
         return _built("model.mu", EllipticalJoint, spec.array("mu"), sigma, gen)
-    if kind == "margin_copula":
-        margins = spec.get("margins", None, lambda v: isinstance(v, list), "a list")
-        margins = [margin_from_config(m, f"model.margins[{i}]") for i, m in enumerate(margins)]
-        cop_name = doc.get("copula", "independence")
-        if cop_name == "student_t":
-            nu, corr = spec.number("nu"), spec.array("corr")
-            _built("model.nu", _require_positive, "StudentTCopula", nu=nu)
-            copula = _built("model.corr", StudentTCopula, nu, corr)
-        elif cop_name == "independence":
-            copula = IndependenceCopula(len(margins))
-        elif cop_name == "empirical":
-            u = _built("model.pseudo_obs", _pseudo_obs, spec.array("pseudo_obs"))
-            return _built("model.margins", _mapped_rows, margins, u)
-        else:
-            raise ParameterError(f"model.copula: unknown copula: {cop_name!r}")
-        return _built("model.margins", MarginCopula, margins, copula)
-    raise ParameterError(f"model.kind: unknown model kind: {kind!r}")
+    margins = spec.get("margins", None, lambda v: isinstance(v, list), "a list")
+    margins = [margin_from_config(m, f"model.margins[{i}]") for i, m in enumerate(margins)]
+    cop_name = doc.get("copula", "independence")
+    if cop_name == "student_t":
+        nu, corr = spec.number("nu"), spec.array("corr")
+        _built("model.nu", _require_positive, "StudentTCopula", nu=nu)
+        copula = _built("model.corr", StudentTCopula, nu, corr)
+    elif cop_name == "independence":
+        copula = IndependenceCopula(len(margins))
+    elif cop_name == "empirical":
+        u = _built("model.pseudo_obs", _pseudo_obs, spec.array("pseudo_obs"))
+        return _built("model.margins", _mapped_rows, margins, u)
+    else:
+        raise ParameterError(f"model.copula: unknown copula: {cop_name!r}")
+    return _built("model.margins", MarginCopula, margins, copula)
 
 
 def empirical_model_from_matrix(data):

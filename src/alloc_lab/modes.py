@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .conditional import pin_row_sums
+from .conditional import lift
 from .errors import (
     DegenerateWeightError,
     ParameterError,
@@ -42,6 +42,10 @@ GRID_SIZE = 256
 GRID_PAD = 4.0
 GRID_MAX_CELL = 0.25
 
+# mean_shift_modes drops a mode whose basin holds less than this share of
+# the draws: isolated tail draws are their own KDE fixed points
+MIN_BASIN_FRACTION = 0.01
+
 
 @dataclass
 class MeanShiftConfig:
@@ -49,7 +53,6 @@ class MeanShiftConfig:
     tol: float = 1e-6
     max_iter: int = 500
     start_cap: int = 2000          # dense path: subsample starts beyond this
-    min_basin_fraction: float = 0.01   # drop modes whose basin is tinier
 
     def __post_init__(self):
         checked(self.tol, "modes.tol", *POSITIVE)
@@ -72,7 +75,6 @@ class ModeSet:
     log_densities: np.ndarray      # unnormalized, descending
     basin_counts: np.ndarray
     K: float
-    merge_radius: float
     unique_global: bool
     converged_fraction: float
     convergence_warning: bool
@@ -123,7 +125,7 @@ def _least_eig_and_solve(a, g):
     return lam[:, 0], np.einsum("kij,kj->ki", vec, y)
 
 
-def mean_shift_fixed_points(samples, cfg, starts=None, rng=None):
+def mean_shift_fixed_points(samples, cfg, starts=None):
     """Move each start to a fixed point m(x) = x of the Gaussian mean-shift
     map, by safeguarded Newton steps on the log-KDE.
 
@@ -139,9 +141,9 @@ def mean_shift_fixed_points(samples, cfg, starts=None, rng=None):
     disp = DispersionMatrix(H)
     if starts is None:
         starts = samples
-        if n > cfg.start_cap:
-            rng = rng or np.random.default_rng(0)
-            starts = samples[rng.choice(n, size=cfg.start_cap, replace=False)]
+        if n > cfg.start_cap:    # a subsample of them, drawn at seed 0
+            pick = np.random.default_rng(0).choice(n, size=cfg.start_cap, replace=False)
+            starts = samples[pick]
     pts = np.array(starts, dtype=float, copy=True)
     active = np.ones(pts.shape[0], dtype=bool)
     li = np.linalg.inv(disp.chol)
@@ -314,9 +316,8 @@ def mean_shift_modes(samples, target, cfg=None):
     center_logf = logf[seeds]
     counts = np.array([weight[members].sum() for members in clusters])
 
-    # isolated tail samples are their own KDE fixed points; a basin floor
-    # keeps only fixed points that actually attract part of the sample
-    floor = max(int(round(cfg.min_basin_fraction * weight.sum())), 1)
+    # a basin floor keeps only fixed points that attract part of the sample
+    floor = max(int(round(MIN_BASIN_FRACTION * weight.sum())), 1)
     big = counts >= floor
     if not big.any():
         big = np.zeros_like(big)
@@ -324,17 +325,14 @@ def mean_shift_modes(samples, target, cfg=None):
     centers, center_logf, counts = centers[big], center_logf[big], counts[big]
 
     K = float(target.K)
-    lifted = np.concatenate([centers, (K - centers.sum(axis=1))[:, None]], axis=1)
-    lifted = pin_row_sums(lifted, K)
     unique = True
     if len(centers) > 1:
         unique = (center_logf[0] - center_logf[1]) > math.log1p(1e-6)
     return ModeSet(
-        locations=lifted,
+        locations=lift(centers, K),
         log_densities=center_logf,
         basin_counts=counts,
         K=K,
-        merge_radius=radius,
         unique_global=unique,
         converged_fraction=converged_fraction,
         convergence_warning=warning,

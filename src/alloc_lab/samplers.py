@@ -170,12 +170,11 @@ def _pilot_sample(target, seed, n=200):
     return x[:, : target.d_prime]
 
 
-def _uniform_simplex_draw(support, rng, n=None):
+def _uniform_simplex_draw(support, rng):
     lows = np.asarray(support.lower, dtype=float)
     span = support.K - lows.sum()
-    w = rng.dirichlet(np.ones(lows.size), size=n)
-    full = lows + span * w
-    return full[..., :-1]
+    full = lows + span * rng.dirichlet(np.ones(lows.size))
+    return full[:-1]
 
 
 def mh_chain(target, cfg):

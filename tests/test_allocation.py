@@ -31,7 +31,7 @@ def make_modeset(locations, K, unique=True):
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     logf = -np.arange(locations.shape[0], dtype=float)
     return ModeSet(locations=locations, log_densities=logf, basin_counts=np.full(len(logf), 100),
-                   K=float(K), merge_radius=0.1, unique_global=unique,
+                   K=float(K), unique_global=unique,
                    converged_fraction=1.0, convergence_warning=False)
 
 
@@ -44,7 +44,8 @@ def test_euler_allocation_projects_to_K():
     x = rng.normal(size=(500, 3)) + np.array([1.0, 2.0, 3.0])
     a = euler_allocation(x, 6.0)
     assert abs(a.a.sum() - 6.0) < 1e-9
-    np.testing.assert_allclose(a.a, x.mean(axis=0) - a.projection, atol=1e-12)
+    mean = x.mean(axis=0)
+    np.testing.assert_allclose(a.a, mean - (mean.sum() - 6.0) / 3, atol=1e-12)
     np.testing.assert_allclose(a.se, x.std(axis=0, ddof=1) / np.sqrt(500),
                                rtol=1e-12)
     assert a.method == "Euler"

@@ -29,7 +29,7 @@ from alloc_lab.errors import (
     EfficiencyError,
     NotAvailableError,
 )
-from alloc_lab.models import model_from_config
+from alloc_lab.models import _MARGIN_BUILDERS, MODEL_KEYS, model_from_config
 from alloc_lab.modes import ModeSet, scenario_weights
 
 from conftest import REF_CORR
@@ -274,6 +274,14 @@ LOMAX_PAIR = {
     # the report directory: the config file itself, or a path below it
     ({"output": "cfg.json"}, "output"),
     ({"output": "cfg.json/out"}, "output"),
+    # a model key that its kind or margin type does not read
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "normal"}] * 3, copla="student_t")},
+     "model.copla"),
+    ({"model": {"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist(),
+                "generater": "student_t"}}, "model.generater"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "student_t", "df": 4.0, "locc": 1.0}] * 3)},
+     "model.margins[0].locc"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "fip": [0]}}, "model.fip"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -363,12 +371,38 @@ def test_every_misspelled_run_key_is_refused_naming_its_path():
                 validate_config(doc)
 
 
-def test_readme_schema_block_lists_every_run_key():
+def test_every_misspelled_model_key_is_refused_naming_its_path():
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in ("m1", "m2", "m3", "m4", "core_t5", "empirical"):
+        with open(os.path.join(root, f"{name}.cfg"), encoding="utf-8") as fh:
+            base = json.load(fh)
+        # the keys of model, and of each of its margins
+        paths = [("model", key) for key in base["model"]]
+        paths += [("model", "margins", i, key)
+                  for i, margin in enumerate(base["model"].get("margins", [])) for key in margin]
+        assert len(paths) >= 3
+        for keys in paths:
+            doc = json.loads(json.dumps(base))
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            wrong = keys[-1] + keys[-1][-1]
+            parent[wrong] = parent.pop(keys[-1])
+            # without its kind or type, a mapping is refused naming that key
+            last = keys[-1] if keys[-1] in ("kind", "type") else wrong
+            with pytest.raises(AllocLabError, match=re.escape(_path(keys[:-1] + (last,)))):
+                cli._model(validate_config(doc), doc, root)
+
+
+def _readme_schema_block():
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
-        block = fh.read().split("### Config schema (JSON)")[1].split("```")[1]
+        return fh.read().split("### Config schema (JSON)")[1].split("```")[1]
+
+
+def test_readme_schema_block_lists_every_run_key():
     listed, section = {"": set()}, None
-    for line in block.splitlines():
+    for line in _readme_schema_block().splitlines():
         top = re.match(r'  "(\w+)":', line)
         if top:
             section = top.group(1)
@@ -380,6 +414,24 @@ def test_readme_schema_block_lists_every_run_key():
     del listed["model"]    # model keys depend on model.kind, and are not run keys
     assert {s: keys for s, keys in listed.items() if keys} == {
         s: set(keys) for s, keys in cli.RUN_KEYS.items()}
+
+
+def test_readme_schema_block_lists_every_model_and_margin_key():
+    # a margin type's keys on its own line; a model kind's from the line that
+    # names it to the next kind, its margins aside
+    model = _readme_schema_block().split('  "model": ')[1].split('\n  "capital"')[0]
+    kinds, margins, kind = {}, {}, None
+    for line in model.splitlines():
+        keys = set(re.findall(r'"(\w+)":', line))
+        margin = re.search(r'\{"type": "(\w+)"', line)
+        if margin:
+            margins[margin.group(1)] = keys
+            continue
+        named = re.search(r'"kind": "(\w+)"', line)
+        kind = named.group(1) if named else kind
+        kinds.setdefault(kind, set()).update(keys)
+    assert kinds == {k: set(v) for k, v in dict(MODEL_KEYS, empirical=cli.EMPIRICAL_KEYS).items()}
+    assert margins == {t: {"type", *keys} for t, (keys, _) in _MARGIN_BUILDERS.items()}
 
 
 def test_validate_config_rejects_non_finite_K():
@@ -523,7 +575,7 @@ def make_ms(locs, logfs, K):
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     logfs = np.asarray(logfs, dtype=float)
     return ModeSet(locations=locs, log_densities=logfs,
-                   basin_counts=np.full(len(logfs), 10), K=K, merge_radius=0.1,
+                   basin_counts=np.full(len(logfs), 10), K=K,
                    unique_global=len(logfs) == 1, converged_fraction=1.0,
                    convergence_warning=False)
 
@@ -761,6 +813,18 @@ def test_main_run_writes_report(tmp_path):
     assert (tmp_path / "res" / "samples.csv").exists()
 
 
+def test_main_run_prints_each_warning(tmp_path, capsys):
+    # one mean-shift iteration leaves the starts unconverged
+    path, _ = small_config(tmp_path, replications=1, modes={"max_iter": 1})
+    assert main(["run", path, "--output", str(tmp_path / "res")]) == 2
+    with open(tmp_path / "res" / "report.json") as fh:
+        report = json.load(fh)
+    assert "replication 0: mean-shift convergence below 80%" in report["warnings"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
+
+
 def test_main_run_output_bases(tmp_path, monkeypatch):
     # --output is taken from the working directory, the config's output key
     # ("out") from the config file's directory
@@ -819,15 +883,18 @@ def test_main_ingest_names_the_row_of_an_overlong_cell(tmp_path, capsys):
     assert "row 4" in err and "field limit" in err
 
 
-@pytest.mark.parametrize("verb", ["check", "ingest"])
+@pytest.mark.parametrize("verb", ["check", "ingest", "export"])
 @pytest.mark.parametrize("content", [None, b"a,b\n1,2\n\xff,3\n"], ids=["directory", "latin-1"])
 def test_main_names_an_unreadable_file(tmp_path, capsys, verb, content):
-    path = tmp_path / "input"
+    # export reads the artifact of a report directory as it is
+    path = tmp_path / ("levelset.csv" if verb == "export" else "input")
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
-    assert main([verb, str(path)]) == 1
+    args = ([str(tmp_path), "--kind", "levelset", "--out", str(tmp_path / "out.csv")]
+            if verb == "export" else [str(path)])
+    assert main([verb] + args) == 1
     assert str(path) in capsys.readouterr().err
 
 

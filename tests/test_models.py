@@ -14,6 +14,7 @@ from alloc_lab.errors import (
     ShapeError,
 )
 from alloc_lab.models import (
+    _MARGIN_BUILDERS,
     margin_from_config,
     rng_from_seed,
     split_seeds,
@@ -69,6 +70,34 @@ def test_margin_parameter_validation():
         al.Normal(0.0, 0.0)
     with pytest.raises(ParameterError):
         al.Lomax(2.0, 1.0).quantile(1.0)
+
+
+# one margin of each type of models._MARGIN_BUILDERS
+ONE_OF_EACH = {
+    "lomax": al.Lomax(2.5, 5.0),
+    "pareto1": al.ParetoI(3.0, 2.0),
+    "student_t": al.StudentT(4.0, 1.0, 2.0),
+    "normal": al.Normal(0.5, 1.5),
+    "empirical": al.Empirical([3.0, 1.0, 2.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MARGIN_BUILDERS))
+def test_quantile_domain(kind):
+    margin = ONE_OF_EACH[kind]
+    for p in (-0.1, 1.1, math.nan, [0.5, math.nan]):
+        with pytest.raises(ParameterError):
+            margin.quantile(p)
+    if math.isinf(margin.lower):
+        with pytest.raises(ParameterError):
+            margin.quantile(0.0)
+    else:
+        assert margin.quantile(0.0) == margin.lower
+    if math.isinf(margin.upper):
+        with pytest.raises(ParameterError):
+            margin.quantile([0.5, 1.0])
+    else:
+        assert margin.quantile(1.0) == margin.sample.max()    # an empirical margin
 
 
 NON_FINITE = [
