@@ -190,9 +190,17 @@ def build_model(doc, base_dir="."):
 
 
 def _model(exp, doc, base_dir):
-    """The model of doc; refuses a level set, an HMC mass or a sample size
-    per replication that does not fit its dimension d, before any draw."""
+    """The model of doc; refuses a model of d < 2, a fixed K that no point of
+    its support sums to, and a level set, an HMC mass or a sample size per
+    replication that does not fit d, before any draw."""
     model, cfg = build_model(doc, base_dir), exp.sampler
+    keys = {"elliptical": "model.mu", "empirical": "model.csv"}
+    checked(model.d, keys.get(doc["model"].get("kind"), "model.margins"),
+            lambda d: d >= 2, "at least 2 coordinates")
+    if exp.K is not None:
+        lowest = float(np.sum(model.margin_lowers()))
+        checked(exp.K, "capital.K", lambda K: K > lowest,
+                f"above the sum of the margins' lower ends, {lowest:g}")
     free = model.d - 1
     if exp.grid is not None:
         checked(exp.grid.ranges, "levelset.ranges", lambda r: len(r) == free,

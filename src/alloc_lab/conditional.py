@@ -51,15 +51,6 @@ def lift(xp, K):
     return full[0] if xp.ndim == 1 else full
 
 
-def _row_sum(values):
-    """Fewer than 8 floats summed as numpy sums a row of them: from +0.0,
-    left to right (numpy adds 8 or more pairwise)."""
-    s = 0.0
-    for v in values:
-        s += v
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Support
 # ---------------------------------------------------------------------------
@@ -127,32 +118,16 @@ class ConditionalTarget:
         """Gradient at one point; None outside the support."""
         return self.log_density_and_grad(xp)[1]
 
-    def _lift_one(self, xp):
-        """`lift` of one point, as a (d,) array: the same float operations in
-        the same order, on Python floats.  A non-finite point, a row whose
-        correction is absorbed by rounding, and d >= 8 go through `lift`."""
-        row = xp.tolist()
-        if len(row) < 7:
-            K = self.K
-            row.append(K - _row_sum(row))
-            if all(map(math.isfinite, row)):
-                for _ in range(4):
-                    s = _row_sum(row)
-                    if s == K:
-                        return np.array(row)
-                    adjusted = row[-1] + (K - s)
-                    if adjusted == row[-1]:
-                        break
-                    row[-1] = adjusted
-        return self.lift(xp)
-
     def log_density_and_grad(self, xp):
-        """(log density, gradient) at one point from one lift; (-inf, None)
-        outside the support or where the density is 0."""
+        """(log density, gradient) at one point from one lift to (x', K - 1'x'),
+        whose row sum is not pinned; (-inf, None) outside the support or where
+        the density is 0."""
         xp = np.asarray(xp, dtype=float).ravel()
         if not (self._everywhere or self.support.contains(xp)[0]):
             return -np.inf, None
-        lp, g = self.model.logpdf_and_grad(self._lift_one(xp))
+        row = xp.tolist()
+        row.append(self.K - sum(row))
+        lp, g = self.model.logpdf_and_grad(np.array(row))
         return (lp, g[: self.d_prime] - g[self.d_prime]) if lp > -np.inf else (lp, None)
 
 

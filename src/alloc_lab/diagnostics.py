@@ -247,7 +247,7 @@ def _elliptical_t_prediction(target, x, y):
     if not (isinstance(model, EllipticalJoint) and isinstance(model.generator, StudentTGen)):
         return None
     cond = elliptical_condition(model, target.K)
-    li = np.linalg.inv(cond.dispersion.chol)
+    li = cond.dispersion.inv_chol
     ny = np.linalg.norm(li @ y)
     nx = np.linalg.norm(li @ x)
     return -(cond.generator.nu + cond.d) * math.log(ny / nx)

@@ -288,7 +288,8 @@ class Empirical(Margin):
 # ---------------------------------------------------------------------------
 
 class DispersionMatrix:
-    """Symmetric positive-definite matrix with a cached Cholesky factor."""
+    """Symmetric positive-definite matrix with its Cholesky factor L and the
+    inverse factor L^{-1}, both computed once."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -312,6 +313,7 @@ class DispersionMatrix:
                 )
         self.matrix = m
         self.chol = chol
+        self.inv_chol = np.linalg.inv(chol)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -332,17 +334,18 @@ class DispersionMatrix:
         return np.sum(w * w, axis=0)
 
 
-# A density generator g, evaluated at half the squared Mahalanobis distance,
-# gives log g and its derivative as log_g(t, d) and dlog_g(t, d), and the
-# log of the constant c_d that normalizes it in d dimensions as log_c(d).
+# A density generator g, evaluated at t, half the squared Mahalanobis
+# distance (a float or an array of them), gives log g and its derivative as
+# log_g(t, d) and dlog_g(t, d), and the log of the constant c_d that
+# normalizes it in d dimensions as log_c(d).
 
 @dataclass(frozen=True)
 class NormalGen:
     def log_g(self, t, d):
-        return -np.asarray(t, dtype=float)
+        return -t
 
     def dlog_g(self, t, d):
-        return -np.ones_like(np.asarray(t, dtype=float))
+        return -np.ones_like(t)
 
     def log_c(self, d):
         return -d / 2.0 * _LOG_2PI
@@ -358,10 +361,10 @@ class StudentTGen:
     def log_g(self, t, d):
         # the factor 2 restores the full squared Mahalanobis distance,
         # making c_d * g(q/2) the standard t_nu density
-        return -(d + self.nu) / 2.0 * np.log1p(2.0 * np.asarray(t, dtype=float) / self.nu)
+        return -(d + self.nu) / 2.0 * np.log1p(2.0 * t / self.nu)
 
     def dlog_g(self, t, d):
-        return -(d + self.nu) / (self.nu + 2.0 * np.asarray(t, dtype=float))
+        return -(d + self.nu) / (self.nu + 2.0 * t)
 
     def log_c(self, d):
         nu = self.nu
@@ -412,16 +415,17 @@ class EllipticalJoint:
         return self.logpdf_and_grad(x)[1]
 
     def logpdf_and_grad(self, x):
-        """(logpdf, grad_logpdf) at one point, sharing the solve w = L^{-1}(x - mu)."""
+        """(logpdf, grad_logpdf) at one point from w = L^{-1}(x - mu), taken with
+        the cached inverse factor: the gradient is dlog_g(t) L^{-T} w at
+        t = |w|^2 / 2."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ShapeError("gradient is evaluated at a single point")
-        w = np.linalg.solve(self.dispersion.chol, (x - self.mu)[:, None])[:, 0]
-        t = 0.5 * float(np.add.reduce(w * w))
-        # a generator maps a float through the same ufunc loops as a 1-element array
+        li = self.dispersion.inv_chol
+        w = li @ (x - self.mu)
+        t = 0.5 * float(w @ w)
         logp = float(self._log_norm + self.generator.log_g(t, self.d))
-        dlog_g = float(self.generator.dlog_g(t, self.d))
-        return logp, dlog_g * np.linalg.solve(self.dispersion.chol.T, w)
+        return logp, float(self.generator.dlog_g(t, self.d)) * (w @ li)
 
     def margin_lowers(self):
         return np.full(self.d, -np.inf)

@@ -146,7 +146,7 @@ def mean_shift_fixed_points(samples, cfg, starts=None):
             starts = samples[pick]
     pts = np.array(starts, dtype=float, copy=True)
     active = np.ones(pts.shape[0], dtype=bool)
-    li = np.linalg.inv(disp.chol)
+    li = disp.inv_chol
     white = samples @ li.T
     white_sq = np.sum(white ** 2, axis=1)
     # one product of the kernel rows with these columns gives each row's

@@ -106,7 +106,7 @@ def chain_diagnostics(chain, acceptance_rate=None):
     chain = np.asarray(chain, dtype=float)
     if chain.ndim == 1:
         chain = chain[:, None]
-    n, d = chain.shape
+    n = chain.shape[0]
     if n < 100:
         raise SampleSizeError("need a chain of length >= 100")
     if acceptance_rate is None:
@@ -114,21 +114,16 @@ def chain_diagnostics(chain, acceptance_rate=None):
         acceptance_rate = float(np.mean(moved))
     centered = chain - chain.mean(axis=0)
     denom = np.sum(centered * centered, axis=0)
-
-    def rho(k):
-        num = np.sum(centered[:-k] * centered[k:], axis=0)
-        return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
-
-    lag1 = rho(1)
-    acc = lag1.copy()
-    going = np.ones(d, dtype=bool)        # coordinates whose sum goes on
-    for k in range(2, n - 1, 2):
-        even, odd = rho(k), rho(k + 1)
-        going &= even + odd > 0.0
-        if not going.any():
-            break
-        acc[going] += even[going]
-        acc[going] += odd[going]
+    # the lag sums sum_t c_t c_t+k at every lag k from one zero-padded FFT
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(centered, n=nfft, axis=0)
+    lagged = np.fft.irfft(f.real ** 2 + f.imag ** 2, n=nfft, axis=0)[:n]
+    rho = np.where(denom > 0, lagged / np.where(denom > 0, denom, 1.0), 0.0)
+    lag1 = rho[1]
+    # the pairs rho_2k + rho_2k+1 for k >= 1, summed while all so far are positive
+    pairs = rho[2:n - 1:2] + rho[3:n:2]
+    going = np.logical_and.accumulate(pairs > 0.0, axis=0)
+    acc = lag1 + np.sum(pairs, axis=0, where=going)
     ess = n / np.maximum(1.0 + 2.0 * acc, 1.0)
     return ChainDiagnostics(acceptance_rate, lag1, ess)
 
@@ -307,35 +302,39 @@ class HMCConfig:
 MAX_REFLECTIONS = 32
 
 
-def _advance_with_reflection(x, p, dt, A, b, max_reflections=MAX_REFLECTIONS):
-    """Straight-line drift with specular reflection at the first crossing.
+def _advance_with_reflection(x, p, dt, A, b, inv_mass, max_reflections=MAX_REFLECTIONS):
+    """Drift of x at velocity M^{-1}p with a reflection of the momentum p at
+    the first crossing: in the mass metric, p - 2 (a'M^{-1}p) / (a'M^{-1}a) a,
+    which keeps the kinetic energy p'M^{-1}p / 2 (Pakman & Paninski 2014);
+    inv_mass is the diagonal of M^{-1}.
 
-    The wall hit is the first of the smallest times max(b - a'x, 0) / a'p over
-    the walls the velocity moves towards (a'p > 0), a NaN time first of all,
+    The wall hit is the first of the smallest times max(b - a'x, 0) / a'v over
+    the walls the velocity v moves towards (a'v > 0), a NaN time first of all,
     as np.argmin picks it; the step reflects when that time is below dt.
     """
     bs = b.tolist()
     for _ in range(max_reflections + 1):
-        ap = (A @ p).tolist()
-        out = [j for j, v in enumerate(ap) if v > 0.0]
+        v = inv_mass * p
+        av = (A @ v).tolist()
+        out = [j for j, u in enumerate(av) if u > 0.0]
         if not out:
-            return x + dt * p, p, True
+            return x + dt * v, p, True
         ax = (A @ x).tolist()
         i, tau = 0, math.inf
         for j in out:
             gap = bs[j] - ax[j]
             # np.maximum(gap, 0.0): NaN stays, a zero of either sign gives +0
-            t = (gap if gap > 0.0 or gap != gap else 0.0) / ap[j]
+            t = (gap if gap > 0.0 or gap != gap else 0.0) / av[j]
             if t != t:
                 i, tau = j, t
                 break
             if t < tau:
                 i, tau = j, t
         if tau >= dt:
-            return x + dt * p, p, True
-        x = x + tau * p
+            return x + dt * v, p, True
+        x = x + tau * v
         a = A[i]
-        p = p - 2.0 * (a @ p) / (a @ a) * a
+        p = p - 2.0 * (a @ v) / (a @ (inv_mass * a)) * a
         dt = dt - tau
     return x, p, False
 
@@ -393,38 +392,25 @@ def hmc_reflect_chain(target, polytope, cfg):
         raise FeasibilityError("starting point has zero target density")
 
     burn = _burn_in(cfg)
-    A, b, sqrt_mass = polytope.A, polytope.b, np.sqrt(mass)
+    A, b, sqrt_mass, inv_mass = polytope.A, polytope.b, np.sqrt(mass), 1.0 / mass
     half = 0.5 * eps
     states = np.empty((cfg.chain_length, d))
     accepted = 0
     divergent = 0
-    # Calls kept as numpy/BLAS/LAPACK calls because the chain's bits depend on
-    # them.  Python float arithmetic gave other last bits (x86-64, numpy 2.4's
-    # bundled OpenBLAS, which uses fused multiply-adds; normal random inputs):
-    #   A @ p, A @ x (gemv, 6 x 2 A)  33,864 of 120,000 entries against a0*p0 + a1*p1
-    #                                 (0 for core polytopes, whose A is 0/+-1)
-    #   a @ p, a @ a, p_full @ (p_full / mass) (dot)   4,863 of 20,000
-    #   np.linalg.solve with the Cholesky factor, both calls in
-    #   EllipticalJoint.logpdf_and_grad   8,417 of 20,000 points against
-    #                                     forward substitution
-    #   np.log1p in the Student-t generator   1,390 of 20,000 against math.log1p
-    # The rest runs as single IEEE operations (+ - * / and comparisons) on
-    # Python floats, in numpy's order: a sum of fewer than 8 terms from +0.0
-    # left to right (ConditionalTarget._lift_one), np.maximum and the
-    # first-minimum rule of np.argmin (_advance_with_reflection).
-    # p - h * (-g) is p + h * g bit for bit: x - y is x + (-y), and
-    # h * (-g) is -(h * g).
+    # The wall times run on Python floats as the same IEEE operations as the
+    # array form (np.maximum, division, the first-minimum rule of np.argmin),
+    # which tests compare bit for bit; A @ v, A @ x and the dot products stay
+    # BLAS calls.  Row sums are pinned only on output, by target.lift.
     for i in range(cfg.chain_length):
         p = rng.standard_normal(d) * sqrt_mass
-        h0 = -lx + 0.5 * float(p @ (p / mass))
+        h0 = -lx + 0.5 * float(p @ (inv_mass * p))
         q, pq = x, p + half * gx
         ok = True
         for step in range(steps):
-            q, v, ok = _advance_with_reflection(q, pq / mass, eps, A, b)
+            q, pq, ok = _advance_with_reflection(q, pq, eps, A, b, inv_mass)
             if not ok or not all(map(math.isfinite, q.tolist())):
                 ok = False
                 break
-            pq = v * mass
             lq, gq = target.log_density_and_grad(q)
             if gq is None or not all(map(math.isfinite, gq.tolist())):
                 ok = False
@@ -432,7 +418,7 @@ def hmc_reflect_chain(target, polytope, cfg):
             # the energy at the full-step momentum; stopping at the first
             # step past the bound keeps a diverging trajectory from overflowing
             p_full = pq + half * gq
-            h1 = -lq + 0.5 * float(p_full @ (p_full / mass))
+            h1 = -lq + 0.5 * float(p_full @ (inv_mass * p_full))
             ok = math.isfinite(h1) and (h1 - h0) < 1000.0
             if not ok:
                 break

@@ -282,6 +282,12 @@ LOMAX_PAIR = {
     ({"model": dict(LOMAX_PAIR, margins=[{"type": "student_t", "df": 4.0, "locc": 1.0}] * 3)},
      "model.margins[0].locc"),
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "fip": [0]}}, "model.fip"),
+    # a model of one coordinate, and a fixed K below every point of the support
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": 3.0, "scale": 1.0}])},
+     "model.margins must be at least 2"),
+    ({"model": {"kind": "elliptical", "mu": [0.0], "sigma": [[1.0]]}}, "model.mu must be at least 2"),
+    ({"model": dict(LOMAX_PAIR, margins=[{"type": "pareto1", "shape": 2.0, "minimum": 20.0}] * 3),
+      "capital": {"rule": "fixed", "K": 40.0}}, "capital.K"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -768,6 +774,21 @@ def test_export_plotdata_errors(tmp_path):
         export_plotdata(str(tmp_path), "scatter", str(tmp_path / "o.csv"))
     with pytest.raises(NotAvailableError):
         export_plotdata(str(tmp_path), "wireframe", str(tmp_path / "o.csv"))
+
+
+def test_written_chain_rows_sum_to_K_bit_tightly(tmp_path):
+    # the chain runs unpinned; its rows are pinned to sum to K on output
+    path, _ = small_config(tmp_path, replications=1,
+                           sampler={"method": "hmc", "chain_length": 300,
+                                    "epsilon": 0.2, "steps": 4, "mass": "pilot"},
+                           modes={"enabled": False})
+    res = tmp_path / "res"
+    assert main(["run", path, "--output", str(res)]) == 0
+    full = np.loadtxt(res / "samples.csv", delimiter=",", skiprows=1)
+    chain = np.loadtxt(res / "chain.csv", delimiter=",", skiprows=1)
+    assert full.shape == (270, 3)
+    assert np.array_equal(chain, full[:, :2])
+    assert np.all(full.sum(axis=1) == 8.0)
 
 
 def test_export_plotdata_all_kinds(tmp_path):

@@ -86,21 +86,24 @@ def test_target_gradient_is_reduced(t5_joint):
     np.testing.assert_allclose(t.grad_log_density(xp), fd, rtol=1e-5)
 
 
-def _separate_evaluation(target, xp):
-    """(log density, gradient) from the batch density and the two-solve
-    gradient formula, each lifting the point on its own."""
-    lp = target.log_density(xp)
-    model = getattr(target.model, "elliptical", None)
-    if model is None:
-        g = target.model.grad_logpdf(target.lift(xp))
-    else:
-        z = target.lift(xp) - model.mu
-        t = 0.5 * float(model.dispersion.maha_sq(z)[0])
-        g = float(model.generator.dlog_g(t, model.d)) * model.dispersion.solve(z)
-    return lp, g[:-1] - g[-1]
+def _batch_route(target, pts):
+    """(log densities, gradients) at rows pts: one batch `log_density` call,
+    and each gradient from the full point's Sigma^{-1} solve (elliptical) or
+    from `grad_logpdf`."""
+    model = target.model
+    grads = []
+    for full in target.lift(pts):
+        if isinstance(model, al.EllipticalJoint):
+            z = full - model.mu
+            t = 0.5 * float(model.dispersion.maha_sq(z)[0])
+            g = float(model.generator.dlog_g(t, model.d)) * model.dispersion.solve(z)
+        else:
+            g = model.grad_logpdf(full)
+        grads.append(g[:-1] - g[-1])
+    return target.log_density(pts), np.array(grads)
 
 
-def test_fused_evaluation_is_bitwise_the_separate_one(m1_model):
+def test_fused_evaluation_matches_the_batch_route_and_differences(m1_model):
     with open(CONFIG_DIR / "core_t5.cfg", encoding="utf-8") as fh:
         core_t5 = al.model_from_config(json.load(fh)["model"])
     rng = np.random.default_rng(20)
@@ -109,49 +112,12 @@ def test_fused_evaluation_is_bitwise_the_separate_one(m1_model):
         (al.ConditionalTarget(m1_model, 40.0), 40.0 * rng.dirichlet(np.ones(3), size=50)[:, :2]),
     ]
     for target, pts in cases:
-        for xp in pts:
+        lp_ref, g_ref = _batch_route(target, pts)
+        for xp, lp_b, g_b in zip(pts, lp_ref, g_ref):
             lp, g = target.log_density_and_grad(xp)
-            lp_ref, g_ref = _separate_evaluation(target, xp)
-            assert lp == lp_ref
-            assert np.array_equal(g, g_ref)
-
-
-def _t_joint(d):
-    corr = 0.4 * np.eye(d) + 0.6 / d
-    return al.EllipticalJoint(np.zeros(d), al.DispersionMatrix(corr), al.StudentTGen(5.0))
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 8])
-def test_single_point_lift_is_bitwise_lift(d):
-    # d = 8 sums 8 terms, which numpy adds pairwise: the point goes through lift
-    K = 8.046
-    target = al.ConditionalTarget(_t_joint(d), K)
-    rng = np.random.default_rng(40 + d)
-    scale = 10.0 ** rng.integers(-3, 4, size=(3000, 1))
-    huge = 1e16 * rng.standard_normal((300, d - 1))
-    pts = np.concatenate([scale * rng.standard_normal((3000, d - 1)),
-                          huge, huge + rng.standard_normal((300, d - 1)),
-                          np.zeros((1, d - 1)), np.full((1, d - 1), -0.0)])
-    pinned = absorbed = 0
-    for xp in pts:
-        one, ref = target._lift_one(xp), target.lift(xp)
-        assert one.shape == ref.shape == (d,)
-        assert one.tobytes() == ref.tobytes()
-        first = np.append(xp, K - xp.sum())
-        s = first.sum()
-        pinned += s != K
-        absorbed += s != K and first[-1] + (K - s) == first[-1]
-    # the cases where the pin moves the last coordinate and where rounding
-    # absorbs its correction both occur
-    assert pinned > 100 and absorbed > 10
-    for bad in (np.nan, np.inf, -np.inf):
-        xp = np.full(d - 1, 1.0)
-        xp[-1] = bad
-        with pytest.raises(ParameterError, match="could not pin row sums") as info:
-            target._lift_one(xp)
-        with pytest.raises(ParameterError) as ref_info:
-            target.lift(xp)
-        assert str(info.value) == str(ref_info.value)
+            assert math.isclose(lp, lp_b, rel_tol=1e-12)
+            np.testing.assert_allclose(g, g_b, rtol=1e-12)
+            np.testing.assert_allclose(g, _fd_grad(target.log_density, xp), rtol=1e-5)
 
 
 def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):

@@ -1,6 +1,7 @@
 """Slab rejection sampling, Metropolis-Hastings, polytopes, reflective HMC."""
 import json
 import math
+import time
 import types
 import warnings
 from pathlib import Path
@@ -279,6 +280,36 @@ def test_diagnostics_ess_sums_past_lag_50():
     assert abs(diag.ess[0] - n / 99.0) < 0.15 * n / 99.0
 
 
+def _direct_ess(chain):
+    """Geyer's initial positive sequence from lag sums taken one lag at a time."""
+    c = chain - chain.mean(axis=0)
+    n = c.shape[0]
+    denom = np.sum(c * c, axis=0)
+    ess = []
+    for j in range(c.shape[1]):
+        rho = [np.dot(c[:n - k, j], c[k:, j]) / denom[j] for k in range(n)]
+        acc = rho[1]
+        for k in range(2, n - 1, 2):
+            if rho[k] + rho[k + 1] <= 0.0:
+                break
+            acc += rho[k] + rho[k + 1]
+        ess.append(n / max(1.0 + 2.0 * acc, 1.0))
+    return np.array(ess)
+
+
+def test_diagnostics_slow_walk_is_fast_and_matches_the_lag_sums():
+    # a slow 2-coordinate random walk: Geyer's sequence runs to large lags
+    rng = np.random.default_rng(19)
+    walk = np.cumsum(rng.standard_normal((40_000, 2)), axis=0)
+    start = time.perf_counter()
+    diag = chain_diagnostics(walk)
+    assert time.perf_counter() - start < 0.5
+    assert np.all(diag.ess < 100)
+    # and on a shorter chain, the lag sums taken one at a time
+    chain = np.cumsum(rng.standard_normal((3000, 2)), axis=0)
+    np.testing.assert_allclose(chain_diagnostics(chain).ess, _direct_ess(chain), rtol=1e-10)
+
+
 def test_diagnostics_acceptance_from_moves():
     chain = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [2.0]] * 40)
     diag = chain_diagnostics(chain)
@@ -401,7 +432,7 @@ def test_reflection_elastic():
     A = np.array([[1.0, 0.0]])
     b = np.array([1.0])
     x, p, ok = _advance_with_reflection(np.zeros(2), np.array([2.0, 1.0]),
-                                        1.0, A, b, 8)
+                                        1.0, A, b, np.ones(2), 8)
     assert ok
     np.testing.assert_allclose(p, [-2.0, 1.0])
     np.testing.assert_allclose(x, [0.0, 1.0])   # 0.5 out, 0.5 back
@@ -412,33 +443,50 @@ def test_reflection_budget_exhaustion():
     # narrow corridor forces many bounces
     A = np.array([[1.0], [-1.0]])
     b = np.array([0.01, 0.01])
-    _, _, ok = _advance_with_reflection(np.zeros(1), np.array([5.0]), 1.0, A, b, 3)
+    _, _, ok = _advance_with_reflection(np.zeros(1), np.array([5.0]), 1.0, A, b, np.ones(1), 3)
     assert not ok
 
 
-def _advance_reference(x, p, dt, A, b, max_reflections=32):
-    """The array form of `_advance_with_reflection` that the chains were
-    recorded with, kept as the reference for its bits."""
+def test_reflection_keeps_kinetic_energy_in_the_mass_metric():
+    # M = diag(1, 4) and the wall x1 + x2 <= 1: a Euclidean reflection of
+    # the velocity M^{-1}p would take p'M^{-1}p / 2 from 1.0 to 2.125 here
+    mass = np.array([1.0, 4.0])
+    A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    p = np.array([1.0, 2.0])
+    x, p_new, ok = _advance_with_reflection(np.zeros(2), p, 1.0, A, b, 1.0 / mass)
+    assert ok and not np.array_equal(p_new, p)
+    kinetic = 0.5 * np.sum(p * p / mass)
+    assert math.isclose(0.5 * np.sum(p_new * p_new / mass), kinetic, rel_tol=1e-12)
+    # the normal velocity component flips and the point ends inside
+    assert math.isclose(A[0] @ (p_new / mass), -(A[0] @ (p / mass)), rel_tol=1e-12)
+    assert A[0] @ x <= b[0]
+
+
+def _advance_reference(x, p, dt, A, b, inv_mass, max_reflections=32):
+    """The array form of `_advance_with_reflection`, kept as the reference
+    for its bits."""
     for _ in range(max_reflections + 1):
-        ap = A @ p
-        moving_out = ap > 0.0
+        v = inv_mass * p
+        av = A @ v
+        moving_out = av > 0.0
         if not moving_out.any():
-            return x + dt * p, p, True
-        tau = np.full(ap.shape, np.inf)
-        np.divide(np.maximum(b - A @ x, 0.0), ap, out=tau, where=moving_out)
+            return x + dt * v, p, True
+        tau = np.full(av.shape, np.inf)
+        np.divide(np.maximum(b - A @ x, 0.0), av, out=tau, where=moving_out)
         i = int(np.argmin(tau))
         if tau[i] >= dt:
-            return x + dt * p, p, True
-        x = x + tau[i] * p
+            return x + dt * v, p, True
+        x = x + tau[i] * v
         a = A[i]
-        p = p - 2.0 * (a @ p) / (a @ a) * a
+        p = p - 2.0 * (a @ v) / (a @ (inv_mass * a)) * a
         dt = dt - tau[i]
     return x, p, False
 
 
-def _assert_same_advance(x, p, dt, A, b, budget=32):
-    got = _advance_with_reflection(x, p, dt, A, b, budget)
-    ref = _advance_reference(x, p, dt, A, b, budget)
+def _assert_same_advance(x, p, dt, A, b, budget=32, inv_mass=None):
+    inv_mass = np.ones(x.size) if inv_mass is None else inv_mass
+    got = _advance_with_reflection(x, p, dt, A, b, inv_mass, budget)
+    ref = _advance_reference(x, p, dt, A, b, inv_mass, budget)
     assert got[2] == ref[2]
     for g, r in zip(got[:2], ref[:2]):
         if np.isfinite(r).all():
@@ -448,13 +496,14 @@ def _assert_same_advance(x, p, dt, A, b, budget=32):
     return ref
 
 
-def _walk(A, b, x, rng, n, dt_scale):
-    """n advances from x with fresh normal velocities, each from where the
+def _walk(A, b, x, rng, n, dt_scale, inv_mass=None):
+    """n advances from x with fresh normal momenta, each from where the
     last one ended; returns how many reflected."""
     reflected = 0
     for _ in range(n):
         p = rng.standard_normal(x.size)
-        x_new, p_new, ok = _assert_same_advance(x, p, dt_scale * rng.exponential(), A, b)
+        x_new, p_new, ok = _assert_same_advance(x, p, dt_scale * rng.exponential(), A, b,
+                                                inv_mass=inv_mass)
         reflected += not np.array_equal(p_new, p)
         if ok:
             x = x_new
@@ -471,6 +520,8 @@ def test_advance_is_bitwise_the_array_form_on_core_t5():
     # budget of 3 reflections, which some run out of
     x = poly.interior_point()
     assert _walk(poly.A, poly.b, x, rng, 3000, 0.105 * 24) > 1000
+    # and with a mass that is not the identity
+    assert _walk(poly.A, poly.b, x, rng, 3000, 0.105 * 24, np.array([1.3, 0.8])) > 1000
     for _ in range(200):
         p = rng.standard_normal(2)
         _, _, ok = _assert_same_advance(x, p, 100.0, poly.A, poly.b, 3)
@@ -487,6 +538,7 @@ def test_advance_is_bitwise_the_array_form_on_random_polytopes():
             c = rng.standard_normal(dim)
             b = A @ c + rng.exponential(size=m)
             _walk(A, b, c, rng, 300, 1.0)
+            _walk(A, b, c, rng, 300, 1.0, np.linspace(0.25, 4.0, dim))
 
 
 def test_advance_is_bitwise_the_array_form_at_corners_and_edges():
