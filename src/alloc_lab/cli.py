@@ -201,12 +201,15 @@ def _model(exp, doc, base_dir):
         lowest = float(np.sum(model.margin_lowers()))
         checked(exp.K, "capital.K", lambda K: K > lowest,
                 f"above the sum of the margins' lower ends, {lowest:g}")
+        highest = model.largest_sum()
+        checked(exp.K, "capital.K", lambda K: K < highest,
+                f"below the largest row sum of the model's support, {highest:g}")
     free = model.d - 1
     if exp.grid is not None:
         checked(exp.grid.ranges, "levelset.ranges", lambda r: len(r) == free,
                 f"d - 1 = {free} [lo, hi] pairs")
         if not model.has_density:
-            raise ConfigurationError("levelset needs a model with a density")
+            raise ConfigurationError("levelset must be left out for a model without a density")
     checked(getattr(cfg, "mass", None), "sampler.mass",
             lambda m: not isinstance(m, list) or len(m) == free,
             f"null, 'pilot' or a list of d - 1 = {free} entries")
@@ -395,6 +398,14 @@ def _run(exp, doc, base_dir):
                 warnings.append(f"replication {r}: {distinct} distinct sample rows, "
                                 f"fewer than {least}; the modes may change with the "
                                 "replication count")
+
+    # rows are pinned to sum to K, but where K is small against the
+    # coordinates no float row may sum to it exactly
+    for r, s in enumerate(rep_samples):
+        missed = int(np.count_nonzero(s.sum(axis=1) != K))
+        if missed:
+            warnings.append(f"replication {r}: {missed} of {s.shape[0]} sample rows "
+                            f"do not sum to K = {K!r} in floating point")
 
     eulers = [euler_allocation(s, K, ess=ess) for s, ess in zip(rep_samples, rep_ess)]
     euler_reps = np.array([e.a for e in eulers])

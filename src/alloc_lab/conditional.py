@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import gt
 
 import numpy as np
 from scipy import optimize, special
@@ -119,16 +120,19 @@ class ConditionalTarget:
         return self.log_density_and_grad(xp)[1]
 
     def log_density_and_grad(self, xp):
-        """(log density, gradient) at one point from one lift to (x', K - 1'x'),
-        whose row sum is not pinned; (-inf, None) outside the support or where
-        the density is 0."""
-        xp = np.asarray(xp, dtype=float).ravel()
-        if not (self._everywhere or self.support.contains(xp)[0]):
-            return -np.inf, None
-        row = xp.tolist()
-        row.append(self.K - sum(row))
-        lp, g = self.model.logpdf_and_grad(np.array(row))
-        return (lp, g[: self.d_prime] - g[self.d_prime]) if lp > -np.inf else (lp, None)
+        """(log density, gradient as a list) at one point x', a sequence of
+        d - 1 floats, on Python floats: one lift to (x', K - 1'x'), whose row
+        sum is not pinned, and the gradient projected to R^{d-1}; (-inf, None)
+        where a lifted coordinate is not above its margin's lower end or the
+        density is 0."""
+        row = [*xp, self.K - sum(xp)]
+        if not (self._everywhere or all(map(gt, row, self.support.lower))):
+            return -math.inf, None
+        lp, g = self.model.logpdf_and_grad(row)
+        if not lp > -math.inf:
+            return lp, None
+        last = g.pop()
+        return lp, [gj - last for gj in g]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul, sub
 
 import numpy as np
 from scipy import special
@@ -289,7 +290,8 @@ class Empirical(Margin):
 
 class DispersionMatrix:
     """Symmetric positive-definite matrix with its Cholesky factor L and the
-    inverse factor L^{-1}, both computed once."""
+    inverse factor L^{-1}, both computed once; L^{-1} is also kept as lists of
+    its rows and of its columns, for evaluations on Python floats."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -314,6 +316,8 @@ class DispersionMatrix:
         self.matrix = m
         self.chol = chol
         self.inv_chol = np.linalg.inv(chol)
+        self.inv_chol_rows = self.inv_chol.tolist()
+        self.inv_chol_cols = self.inv_chol.T.tolist()
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -335,9 +339,9 @@ class DispersionMatrix:
 
 
 # A density generator g, evaluated at t, half the squared Mahalanobis
-# distance (a float or an array of them), gives log g and its derivative as
-# log_g(t, d) and dlog_g(t, d), and the log of the constant c_d that
-# normalizes it in d dimensions as log_c(d).
+# distance (a float, on which it makes no numpy call, or an array of them),
+# gives log g and its derivative as log_g(t, d) and dlog_g(t, d), and the log
+# of the constant c_d that normalizes it in d dimensions as log_c(d).
 
 @dataclass(frozen=True)
 class NormalGen:
@@ -345,7 +349,7 @@ class NormalGen:
         return -t
 
     def dlog_g(self, t, d):
-        return -np.ones_like(t)
+        return -1.0 if isinstance(t, float) else -np.ones_like(t)
 
     def log_c(self, d):
         return -d / 2.0 * _LOG_2PI
@@ -361,7 +365,8 @@ class StudentTGen:
     def log_g(self, t, d):
         # the factor 2 restores the full squared Mahalanobis distance,
         # making c_d * g(q/2) the standard t_nu density
-        return -(d + self.nu) / 2.0 * np.log1p(2.0 * t / self.nu)
+        log1p = math.log1p if isinstance(t, float) else np.log1p
+        return -(d + self.nu) / 2.0 * log1p(2.0 * t / self.nu)
 
     def dlog_g(self, t, d):
         return -(d + self.nu) / (self.nu + 2.0 * t)
@@ -381,7 +386,8 @@ class EllipticalJoint:
 
     It, MarginCopula and EmpiricalJoint are the three joint models, with
     `d`, `has_density`, `logpdf`, `grad_logpdf`, `logpdf_and_grad`,
-    `sample(n, seed, slab=None)` and `margin_lowers()`.  With slab =
+    `sample(n, seed, slab=None)`, `margin_lowers()` and `largest_sum()`, the
+    least upper bound of the row sum over the support.  With slab =
     (K, delta), `sample` may leave out draws whose row sum s has
     |s - K| >= delta, and keeps every other draw in order.
     """
@@ -390,6 +396,7 @@ class EllipticalJoint:
 
     def __init__(self, mu, dispersion, generator):
         self.mu = np.asarray(mu, dtype=float).ravel()
+        self._mu = self.mu.tolist()
         if not isinstance(dispersion, DispersionMatrix):
             dispersion = DispersionMatrix(dispersion)
         if dispersion.d != self.mu.size:
@@ -399,7 +406,7 @@ class EllipticalJoint:
         self.d = self.mu.size
         # log_c - 0.5 log_det + log_g adds left to right, so folding the
         # first two terms into one constant keeps every bit
-        self._log_norm = generator.log_c(self.d) - 0.5 * self.dispersion.log_det
+        self._log_norm = float(generator.log_c(self.d) - 0.5 * self.dispersion.log_det)
 
     def logpdf(self, x):
         """log f at one point x of shape (d,), as a float, or at rows of
@@ -412,23 +419,30 @@ class EllipticalJoint:
         return float(out[0]) if x.ndim == 1 else out
 
     def grad_logpdf(self, x):
-        return self.logpdf_and_grad(x)[1]
+        return np.array(self.logpdf_and_grad(x)[1])
 
     def logpdf_and_grad(self, x):
-        """(logpdf, grad_logpdf) at one point from w = L^{-1}(x - mu), taken with
-        the cached inverse factor: the gradient is dlog_g(t) L^{-T} w at
-        t = |w|^2 / 2."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
+        """(logpdf, gradient) at one point x, a sequence of d floats, as a
+        float and a list, on Python floats: w = L^{-1}(x - mu) from the rows
+        of the cached inverse factor, t = |w|^2 / 2, and the gradient
+        dlog_g(t) L^{-T} w from its columns."""
+        if len(x) != self.d:
             raise ShapeError("gradient is evaluated at a single point")
-        li = self.dispersion.inv_chol
-        w = li @ (x - self.mu)
-        t = 0.5 * float(w @ w)
-        logp = float(self._log_norm + self.generator.log_g(t, self.d))
-        return logp, float(self.generator.dlog_g(t, self.d)) * (w @ li)
+        z = list(map(sub, x, self._mu))
+        w = [sum(map(mul, row, z)) for row in self.dispersion.inv_chol_rows]
+        t = 0.5 * sum(map(mul, w, w))
+        if not isinstance(t, float):    # x had rows, not coordinates
+            raise ShapeError("gradient is evaluated at a single point")
+        gen, d = self.generator, self.d
+        scale = gen.dlog_g(t, d)
+        return (self._log_norm + gen.log_g(t, d),
+                [scale * sum(map(mul, col, w)) for col in self.dispersion.inv_chol_cols])
 
     def margin_lowers(self):
         return np.full(self.d, -np.inf)
+
+    def largest_sum(self):
+        return math.inf
 
     def sample(self, n, seed, slab=None):
         if n < 1:
@@ -571,6 +585,11 @@ class MarginCopula:
     def margin_lowers(self):
         return np.array([m.lower for m in self.margins], dtype=float)
 
+    def largest_sum(self):
+        """The sum of the margins' upper ends: the copulas here put mass near
+        every corner of the unit cube."""
+        return float(sum(m.upper for m in self.margins))
+
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -606,9 +625,11 @@ class MarginCopula:
         return dc * pdf + dlm
 
     def logpdf_and_grad(self, x):
-        """(logpdf, grad_logpdf) at one point; no gradient where the density is 0."""
+        """(logpdf, gradient as a list) at one point, a sequence of d floats;
+        no gradient where the density is 0."""
+        x = np.asarray(x, dtype=float)
         lp = self.logpdf(x)
-        return lp, (self.grad_logpdf(x) if lp > -np.inf else None)
+        return lp, (self.grad_logpdf(x).tolist() if lp > -np.inf else None)
 
     def sample(self, n, seed, slab=None):
         """n draws; with slab = (K, delta), the latent rows whose bounded row
@@ -709,6 +730,9 @@ class EmpiricalJoint:
 
     def margin_lowers(self):
         return self.lowers.copy()
+
+    def largest_sum(self):
+        return float(self.sums.max())
 
     def logpdf(self, x):
         raise DataError("empirical model has no density")

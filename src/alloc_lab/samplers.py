@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy import optimize
@@ -302,27 +303,68 @@ class HMCConfig:
 MAX_REFLECTIONS = 32
 
 
-def _advance_with_reflection(x, p, dt, A, b, inv_mass, max_reflections=MAX_REFLECTIONS):
-    """Drift of x at velocity M^{-1}p with a reflection of the momentum p at
-    the first crossing: in the mass metric, p - 2 (a'M^{-1}p) / (a'M^{-1}a) a,
-    which keeps the kinetic energy p'M^{-1}p / 2 (Pakman & Paninski 2014);
-    inv_mass is the diagonal of M^{-1}.
+def _billiard(A, b, inv_mass):
+    """The walls a'x <= b, a a row of A, and the diagonal inv_mass of M^{-1},
+    as `_advance_with_reflection` takes them: (A as an array, and as lists of
+    floats its rows, b, inv_mass and a'M^{-1}a of each wall, and the slabs).
 
-    The wall hit is the first of the smallest times max(b - a'x, 0) / a'v over
-    the walls the velocity v moves towards (a'v > 0), a NaN time first of all,
-    as np.argmin picks it; the step reflects when that time is below dt.
+    The slabs (a, lo, hi), lo < a'x < hi, are the walls' interiors with one
+    normal a per pair of opposite walls, such as the bounds of a coalition
+    and of its complement: a'x < b and -a'x < c is -c < a'x < b, and
+    the float product with -a is that with a, negated.
     """
-    bs = b.tolist()
+    A = np.asarray(A, dtype=float)
+    inv_mass = np.asarray(inv_mass, dtype=float)
+    rows, bounds = A.tolist(), np.asarray(b, dtype=float).tolist()
+    slabs = {}
+    for a, bj in zip(rows, bounds):
+        flipped = tuple(-v for v in a)
+        if flipped in slabs:
+            slabs[flipped][0] = max(slabs[flipped][0], -bj)
+        else:
+            slab = slabs.setdefault(tuple(a), [-math.inf, math.inf])
+            slab[1] = min(slab[1], bj)
+    return (A, rows, bounds, inv_mass.tolist(), [float(a.dot(inv_mass * a)) for a in A],
+            [(list(a), lo, hi) for a, (lo, hi) in slabs.items()])
+
+
+def _advance_with_reflection(x, p, dt, billiard, max_reflections=MAX_REFLECTIONS):
+    """Drift of x at velocity v = M^{-1}p with a reflection of the momentum p
+    at the first crossing: in the mass metric, p - 2 (a'v) / (a'M^{-1}a) a,
+    which keeps the kinetic energy p'M^{-1}p / 2 (Pakman & Paninski 2014).
+    x and p are lists of floats and are returned as lists; billiard, the
+    walls and the mass, comes from `_billiard`.
+
+    An end point x + dt v strictly inside every wall (a'x < b) ends the
+    drift: the polytope is convex, so the segment to it crosses no wall.
+    Any other end point (one on a wall may have been rounded there from
+    beyond it), and always a NaN or infinite one, has the walls timed as by
+    the array form: the wall hit is the first of the smallest times
+    max(b - a'x, 0) / a'v over the walls the velocity moves towards
+    (a'v > 0), a NaN time first of all, as np.argmin picks it; the drift
+    reflects there when that time is below dt, and goes on from the wall.
+    The products with A and its rows stay BLAS calls, whose rounding (a
+    multiply and an add may be fused) Python floats would not repeat; the
+    rest is the same IEEE operations on floats.
+    """
+    A, rows, b, inv_mass, wall_mass, slabs = billiard
     for _ in range(max_reflections + 1):
-        v = inv_mass * p
-        av = (A @ v).tolist()
+        end = [xi + dt * (mi * pi) for xi, mi, pi in zip(x, inv_mass, p)]
+        if all(map(math.isfinite, end)):
+            for a, lo, hi in slabs:
+                if not lo < sum(map(mul, a, end)) < hi:
+                    break
+            else:
+                return end, p, True
+        v = np.array(list(map(mul, inv_mass, p)))
+        av = A.dot(v).tolist()
         out = [j for j, u in enumerate(av) if u > 0.0]
         if not out:
-            return x + dt * v, p, True
-        ax = (A @ x).tolist()
+            return end, p, True
+        ax = A.dot(np.array(x)).tolist()
         i, tau = 0, math.inf
         for j in out:
-            gap = bs[j] - ax[j]
+            gap = b[j] - ax[j]
             # np.maximum(gap, 0.0): NaN stays, a zero of either sign gives +0
             t = (gap if gap > 0.0 or gap != gap else 0.0) / av[j]
             if t != t:
@@ -331,10 +373,10 @@ def _advance_with_reflection(x, p, dt, A, b, inv_mass, max_reflections=MAX_REFLE
             if t < tau:
                 i, tau = j, t
         if tau >= dt:
-            return x + dt * v, p, True
-        x = x + tau * v
-        a = A[i]
-        p = p - 2.0 * (a @ v) / (a @ (inv_mass * a)) * a
+            return end, p, True
+        x = [xi + tau * vi for xi, vi in zip(x, v.tolist())]
+        c = 2.0 * float(A[i].dot(v)) / wall_mass[i]
+        p = [pk - c * ak for pk, ak in zip(p, rows[i])]
         dt = dt - tau
     return x, p, False
 
@@ -386,49 +428,51 @@ def hmc_reflect_chain(target, polytope, cfg):
     x = np.asarray(x0, dtype=float).ravel()
     if not polytope.contains(x)[0]:
         raise FeasibilityError("no feasible interior starting point")
-    # one evaluation per leapfrog step: an accepted state's gradient is reused
+    # The leapfrog runs on Python floats: q, p and the gradient are lists, and
+    # a step whose drift meets no wall makes no numpy call.  One evaluation
+    # per leapfrog step: an accepted state's gradient is reused.  Row sums are
+    # pinned only on output, by target.lift.
+    x = x.tolist()
     lx, gx = target.log_density_and_grad(x)
-    if not np.isfinite(lx):
+    if not math.isfinite(lx):
         raise FeasibilityError("starting point has zero target density")
 
     burn = _burn_in(cfg)
-    A, b, sqrt_mass, inv_mass = polytope.A, polytope.b, np.sqrt(mass), 1.0 / mass
+    billiard = _billiard(polytope.A, polytope.b, 1.0 / mass)
+    sqrt_mass, inv_mass = np.sqrt(mass), billiard[3]
     half = 0.5 * eps
-    states = np.empty((cfg.chain_length, d))
+    states = []
     accepted = 0
     divergent = 0
-    # The wall times run on Python floats as the same IEEE operations as the
-    # array form (np.maximum, division, the first-minimum rule of np.argmin),
-    # which tests compare bit for bit; A @ v, A @ x and the dot products stay
-    # BLAS calls.  Row sums are pinned only on output, by target.lift.
     for i in range(cfg.chain_length):
-        p = rng.standard_normal(d) * sqrt_mass
-        h0 = -lx + 0.5 * float(p @ (inv_mass * p))
-        q, pq = x, p + half * gx
+        p = (rng.standard_normal(d) * sqrt_mass).tolist()
+        h0 = -lx + 0.5 * sum(map(mul, p, map(mul, inv_mass, p)))
+        q, pq = x, [pi + half * gi for pi, gi in zip(p, gx)]
         ok = True
         for step in range(steps):
-            q, pq, ok = _advance_with_reflection(q, pq, eps, A, b, inv_mass)
-            if not ok or not all(map(math.isfinite, q.tolist())):
+            q, pq, ok = _advance_with_reflection(q, pq, eps, billiard)
+            if not ok or not all(map(math.isfinite, q)):
                 ok = False
                 break
             lq, gq = target.log_density_and_grad(q)
-            if gq is None or not all(map(math.isfinite, gq.tolist())):
+            if gq is None:
                 ok = False
                 break
-            # the energy at the full-step momentum; stopping at the first
-            # step past the bound keeps a diverging trajectory from overflowing
-            p_full = pq + half * gq
-            h1 = -lq + 0.5 * float(p_full @ (inv_mass * p_full))
+            # the energy at the full-step momentum, not finite where the
+            # gradient is not; stopping at the first step past the bound keeps
+            # a diverging trajectory from overflowing
+            p_full = [pi + half * gi for pi, gi in zip(pq, gq)]
+            h1 = -lq + 0.5 * sum(map(mul, p_full, map(mul, inv_mass, p_full)))
             ok = math.isfinite(h1) and (h1 - h0) < 1000.0
             if not ok:
                 break
-            pq = pq + eps * gq if step < steps - 1 else p_full
+            pq = [pi + eps * gi for pi, gi in zip(pq, gq)] if step < steps - 1 else p_full
         if not ok:
             divergent += 1
         elif np.log(rng.uniform()) < h0 - h1:
             x, lx, gx = q, lq, gq
             accepted += 1
-        states[i] = x
+        states.append(x)
         if i == 99 and divergent > 50:
             raise StabilityError(
                 f"{divergent}% of early trajectories diverged; try epsilon = {eps / 2:.4g}"
@@ -437,6 +481,6 @@ def hmc_reflect_chain(target, polytope, cfg):
         raise StabilityError(
             f"{divergent}/{cfg.chain_length} trajectories diverged; try epsilon = {eps / 2:.4g}"
         )
-    chain = states[burn:]
+    chain = np.array(states[burn:])
     diag = chain_diagnostics(chain, acceptance_rate=accepted / cfg.chain_length)
     return chain, diag

@@ -226,7 +226,8 @@ LOMAX_PAIR = {
     ({"model": {"kind": "empirical"}}, "model.csv"),
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": 5}}, "model.cols"),
     ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "insurance", "fund"]},
-      "levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01}}, "levelset needs a model"),
+      "capital": {"rule": "fixed", "K": 3.0},
+      "levelset": {"ranges": [[0, 8], [0, 8]], "level": 0.01}}, "levelset"),
     # errors of the model constructors carry the key path of their value
     ({"model": dict(LOMAX_PAIR, margins=[{"type": "lomax", "shape": -1.0, "scale": 1.0}] * 2)},
      "model.margins[0]"),
@@ -292,7 +293,42 @@ LOMAX_PAIR = {
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
     assert main(["check", path]) == 1
-    assert key in capsys.readouterr().err
+    # key is a key path, or one and the start of its refusal; the path must
+    # be followed by its refusal, "<path> must ..." or, from a model builder,
+    # "<path>: ...", so that a refusal of a longer path such as
+    # <path>[0].scale does not pass
+    err = capsys.readouterr().err
+    name = key.split(" ")[0]
+    assert key in err and (f"{name} must" in err or f"{name}: " in err)
+
+
+def _largest_example_row_sum():
+    data = np.loadtxt(EXAMPLE_CSV, delimiter=",", skiprows=1, usecols=(1, 2, 3))
+    return float(data.sum(axis=1).max())
+
+
+# a model of each kind, and the largest row sum of its support
+BOUNDED_MODELS = {
+    "elliptical": ({"kind": "elliptical", "mu": [0.0, 0.0, 0.0], "sigma": REF_CORR.tolist()},
+                   np.inf),
+    "margin_copula": (dict(LOMAX_PAIR, copula="student_t", nu=5.0, corr=REF_CORR.tolist(),
+                           margins=[{"type": "empirical", "sample": [0.0, 1.0, 2.5]}] * 3), 7.5),
+    "empirical": ({"kind": "empirical", "csv": os.path.abspath(EXAMPLE_CSV),
+                   "cols": ["bank", "insurance", "fund"]}, _largest_example_row_sum()),
+}
+
+
+@pytest.mark.parametrize("kind", BOUNDED_MODELS)
+def test_check_refuses_a_fixed_K_at_or_above_the_largest_row_sum(tmp_path, capsys, kind):
+    # {S = K} is empty, or one corner, at or above the largest row sum
+    model, largest = BOUNDED_MODELS[kind]
+    for K, refused in ((min(largest, 1e6) - 0.01, False), (largest, True), (largest + 1.0, True)):
+        if not np.isfinite(K):
+            continue
+        path, _ = small_config(tmp_path, model=model, capital={"rule": "fixed", "K": K})
+        assert main(["check", path]) == int(refused)
+        err = capsys.readouterr().err
+        assert ("capital.K must be below the largest row sum" in err) == refused
 
 
 EMPIRICAL_MODELS = {
@@ -844,6 +880,24 @@ def test_main_run_prints_each_warning(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
+
+
+def test_main_run_warns_of_sample_rows_that_miss_K(tmp_path, capsys):
+    # at K = 0.1 the coordinates of an HMC chain are large against K, and
+    # many lifted rows have no float row sum equal to K, pinned or not
+    path, _ = small_config(tmp_path, replications=1, capital={"rule": "fixed", "K": 0.1},
+                           sampler={"method": "hmc", "chain_length": 300})
+    assert main(["run", path, "--output", str(tmp_path / "res")]) == 2
+    samples = np.loadtxt(tmp_path / "res" / "samples.csv", delimiter=",", skiprows=1)
+    missed = int(np.count_nonzero(samples.sum(axis=1) != 0.1))
+    assert missed > 0
+    warning = (f"replication 0: {missed} of {samples.shape[0]} sample rows "
+               "do not sum to K = 0.1 in floating point")
+    assert f"warning: {warning}" in capsys.readouterr().err.splitlines()
+    # and none at K = 8, where every row sums to K
+    path, _ = small_config(tmp_path, replications=1, sampler={"method": "hmc", "chain_length": 300})
+    main(["run", path, "--output", str(tmp_path / "res8")])
+    assert "sum to K" not in capsys.readouterr().err
 
 
 def test_main_run_output_bases(tmp_path, monkeypatch):

@@ -120,6 +120,18 @@ def test_fused_evaluation_matches_the_batch_route_and_differences(m1_model):
             np.testing.assert_allclose(g, _fd_grad(target.log_density, xp), rtol=1e-5)
 
 
+def test_float_evaluation_of_a_margin_copula_is_that_of_its_arrays(m1_model):
+    # the model converts at its boundary; the lift, the density and the
+    # projected gradient are the array route's, bit for bit
+    target = al.ConditionalTarget(m1_model, 40.0)
+    for xp in 40.0 * np.random.default_rng(21).dirichlet(np.ones(3), size=50)[:, :2]:
+        full = np.append(xp, 40.0 - sum(xp.tolist()))
+        g = m1_model.grad_logpdf(full)
+        lp, grad = target.log_density_and_grad(xp.tolist())
+        assert lp == m1_model.logpdf(full)
+        assert grad == (g[:-1] - g[-1]).tolist()
+
+
 def test_fused_evaluation_outside_support_skips_gradient(m1_model, monkeypatch):
     target = al.ConditionalTarget(m1_model, 40.0)
 

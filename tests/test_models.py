@@ -227,6 +227,21 @@ def test_elliptical_gradient(t5_joint):
     np.testing.assert_allclose(t5_joint.grad_logpdf(x), fd, rtol=1e-5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("generator", [al.NormalGen(), al.StudentTGen(4.0)], ids=["normal", "t"])
+def test_float_evaluation_matches_the_batch_logpdf_and_differences(generator, d):
+    rng = np.random.default_rng(d)
+    root = rng.standard_normal((d, d))
+    ell = al.EllipticalJoint(rng.standard_normal(d), root @ root.T + d * np.eye(d), generator)
+    points = ell.mu + 2.0 * rng.standard_normal((20, d))
+    batch = ell.logpdf(points)
+    for x, lp_batch in zip(points, batch):
+        lp, g = ell.logpdf_and_grad(x.tolist())
+        assert type(lp) is float and isinstance(g, list) and all(type(v) is float for v in g)
+        assert math.isclose(lp, lp_batch, rel_tol=1e-12)
+        np.testing.assert_allclose(g, _fd_grad(ell.logpdf, x), rtol=1e-5, atol=1e-8)
+
+
 def test_elliptical_t_sampling_moments(t5_joint):
     x = t5_joint.sample(200_000, rng_from_seed(2))
     # Cov = nu/(nu-2) * Sigma for a t_nu law

@@ -24,6 +24,7 @@ from alloc_lab.samplers import (
     Polytope,
     SlabConfig,
     _advance_with_reflection,
+    _billiard,
     _pilot_sample,
     chain_diagnostics,
     hmc_reflect_chain,
@@ -431,8 +432,7 @@ def test_reflection_elastic():
     # normal component
     A = np.array([[1.0, 0.0]])
     b = np.array([1.0])
-    x, p, ok = _advance_with_reflection(np.zeros(2), np.array([2.0, 1.0]),
-                                        1.0, A, b, np.ones(2), 8)
+    x, p, ok = _advance_with_reflection([0.0, 0.0], [2.0, 1.0], 1.0, _billiard(A, b, np.ones(2)), 8)
     assert ok
     np.testing.assert_allclose(p, [-2.0, 1.0])
     np.testing.assert_allclose(x, [0.0, 1.0])   # 0.5 out, 0.5 back
@@ -443,7 +443,7 @@ def test_reflection_budget_exhaustion():
     # narrow corridor forces many bounces
     A = np.array([[1.0], [-1.0]])
     b = np.array([0.01, 0.01])
-    _, _, ok = _advance_with_reflection(np.zeros(1), np.array([5.0]), 1.0, A, b, np.ones(1), 3)
+    _, _, ok = _advance_with_reflection([0.0], [5.0], 1.0, _billiard(A, b, np.ones(1)), 3)
     assert not ok
 
 
@@ -453,7 +453,9 @@ def test_reflection_keeps_kinetic_energy_in_the_mass_metric():
     mass = np.array([1.0, 4.0])
     A, b = np.array([[1.0, 1.0]]), np.array([1.0])
     p = np.array([1.0, 2.0])
-    x, p_new, ok = _advance_with_reflection(np.zeros(2), p, 1.0, A, b, 1.0 / mass)
+    x, p_new, ok = _advance_with_reflection([0.0, 0.0], p.tolist(), 1.0,
+                                            _billiard(A, b, 1.0 / mass))
+    x, p_new = np.array(x), np.array(p_new)
     assert ok and not np.array_equal(p_new, p)
     kinetic = 0.5 * np.sum(p * p / mass)
     assert math.isclose(0.5 * np.sum(p_new * p_new / mass), kinetic, rel_tol=1e-12)
@@ -485,7 +487,8 @@ def _advance_reference(x, p, dt, A, b, inv_mass, max_reflections=32):
 
 def _assert_same_advance(x, p, dt, A, b, budget=32, inv_mass=None):
     inv_mass = np.ones(x.size) if inv_mass is None else inv_mass
-    got = _advance_with_reflection(x, p, dt, A, b, inv_mass, budget)
+    got = _advance_with_reflection(x.tolist(), p.tolist(), dt, _billiard(A, b, inv_mass), budget)
+    got = (np.array(got[0]), np.array(got[1]), got[2])
     ref = _advance_reference(x, p, dt, A, b, inv_mass, budget)
     assert got[2] == ref[2]
     for g, r in zip(got[:2], ref[:2]):
@@ -571,6 +574,27 @@ def test_advance_is_bitwise_the_array_form_at_corners_and_edges():
         # a NaN time is taken first, as np.argmin takes it
         for x in ([np.inf, 0.0], [np.nan, 0.0]):
             _assert_same_advance(np.array(x), np.array([1.0, 1.0]), 0.5, box_A, box_b)
+
+
+def test_advance_is_bitwise_the_array_form_at_end_points_on_a_wall():
+    box_A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    box_b = np.ones(4)
+    up = np.nextafter(1.0, 2.0)
+    cases = [
+        # 0.5 + 0.5 * 1.0 ends exactly on the wall x1 <= 1
+        (np.array([0.5, 0.0]), np.array([1.0, 0.5]), 0.5, box_A, box_b),
+        # the exact end point is past the wall, the float one rounds onto it
+        (np.array([0.5, 0.0]), np.array([up, 0.5]), 0.5, box_A, box_b),
+        # and one ulp past it: 0.5 + 0.5 * (1 + 2^-51) = 1 + 2^-52
+        (np.array([0.5, 0.0]), np.array([np.nextafter(up, 2.0), 0.5]), 0.5, box_A, box_b),
+        # on the slanted wall x1 + x2 <= 1, from inside and exactly there
+        (np.array([0.25, 0.25]), np.array([0.5, 0.5]), 0.5, np.array([[1.0, 1.0]]),
+         np.array([1.0])),
+        (np.array([0.25, 0.25]), np.array([0.5, up]), 0.5, np.array([[1.0, 1.0]]),
+         np.array([1.0])),
+    ]
+    for x, p, dt, A, b in cases:
+        _assert_same_advance(x, p, dt, A, b)
 
 
 def test_hmc_free_space_recovers_conditional(pair_target):
