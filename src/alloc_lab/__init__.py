@@ -24,12 +24,8 @@ from .models import (
 )
 from .conditional import (
     ConditionalTarget,
-    HomotheticModel,
     ShiftedSimplex,
-    comonotone_allocation,
-    complete_mix_dirichlet,
     conditional_support,
-    countermonotone_pair_sampler,
     elliptical_condition,
 )
 from .samplers import (
@@ -49,16 +45,5 @@ from .allocation import (
     ScenarioSet,
     core_polytope,
     euler_allocation,
-    mla,
-    mla_with_constants,
     multimodality_adjust,
-)
-from .diagnostics import (
-    GridSpec,
-    MRVReport,
-    mrv_exponent,
-    mtp2_check,
-    mtp2_conditional_inheritance,
-    s_concavity_check,
-    superlevel_components,
 )

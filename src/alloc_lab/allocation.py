@@ -1,4 +1,4 @@
-"""Euler, maximum-likelihood, and multimodality-adjusted capital allocations."""
+"""Euler and multimodality-adjusted capital allocations, and the core polytope."""
 from __future__ import annotations
 
 import itertools
@@ -6,13 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MultimodalityError,
-    ParameterError,
-    RangeError,
-    SampleSizeError,
-    ShapeError,
-)
+from .errors import ParameterError, SampleSizeError, ShapeError
 from .models import empirical_var
 from .samplers import Polytope
 
@@ -41,49 +35,6 @@ def euler_allocation(samples, K, ess=None):
     neff = np.full(d, n, dtype=float) if ess is None else np.asarray(ess, dtype=float)
     se = samples.std(axis=0, ddof=1) / np.sqrt(neff)
     return Allocation(a, float(K), "Euler", se=se)
-
-
-def mla(modeset):
-    """Lifted top mode; requires a unique global mode."""
-    if not modeset.unique_global:
-        raise MultimodalityError(
-            f"{len(modeset)} modes found; no unique global mode", modeset=modeset
-        )
-    return Allocation(modeset.locations[0], modeset.K, "MLA")
-
-
-def mla_with_constants(model, constants, K, pipeline=None):
-    """Riskless coordinates get their constants; the rest get the reduced MLA.
-
-    `model` is the joint model of the free coordinates; `pipeline` is a
-    callable (model, K_reduced) -> Allocation used when more than one
-    coordinate remains free.
-    """
-    constants = list(constants)
-    const_idx = [i for i, _ in constants]
-    if len(set(const_idx)) != len(const_idx):
-        raise ShapeError("duplicate constant indices")
-    c_total = float(sum(v for _, v in constants))
-    d = len(const_idx) + (model.d if model is not None else 0)
-    free_idx = [i for i in range(d) if i not in const_idx]
-    out = np.empty(d)
-    for i, v in constants:
-        if not 0 <= i < d:
-            raise ShapeError("constant index out of range")
-        out[i] = v
-    k_red = float(K) - c_total
-    if not free_idx:
-        if abs(c_total - K) > 1e-9 * max(1.0, abs(K)):
-            raise RangeError("constants do not sum to K within 1e-9 * max(1, |K|)")
-        return Allocation(out, float(K), "MLA")
-    if len(free_idx) == 1:
-        out[free_idx[0]] = k_red
-        return Allocation(out, float(K), "MLA")
-    if pipeline is None:
-        raise ParameterError("a reduced-model pipeline is required for d_free >= 2")
-    red = pipeline(model, k_red)
-    out[free_idx] = red.a
-    return Allocation(out, float(K), "MLA")
 
 
 @dataclass

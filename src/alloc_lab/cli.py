@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -25,8 +26,7 @@ from .allocation import (
     euler_allocation,
     multimodality_adjust,
 )
-from .conditional import ConditionalTarget
-from .diagnostics import GridSpec, superlevel_mask
+from .conditional import ConditionalTarget, GridSpec, superlevel_mask
 from .errors import (
     AllocLabError,
     ConfigurationError,
@@ -145,6 +145,11 @@ def validate_config(doc):
     core = sampler.get("core", False, *FLAG)
     checked(core, "sampler.core", lambda v: not v or (rule, method) == ("var", "hmc"),
             "false unless capital.rule is 'var' and sampler.method 'hmc'")
+    if n_cal is not None:
+        # the draws that empirical_var asks for at level p, and core_polytope ten times as many
+        least = (10.0 if core else 1.0) / (1.0 - p)
+        checked(n_cal, "capital.n_cal", lambda n: n >= least,
+                f"an integer >= {math.ceil(least)} at capital.p = {p!r}")
     shift = MeanShiftConfig(**{k: modes.doc[k] for k in ("tol", "max_iter") if k in modes.doc})
     grid = level = None
     if ls.doc:
@@ -479,10 +484,11 @@ def _run(exp, doc, base_dir):
 
 @contextmanager
 def _opened(path, error, what=""):
-    """path opened for reading UTF-8 text; a missing or unreadable file is
-    raised as `error`, naming the path and, before it, `what` it is."""
+    """path opened for reading UTF-8 text, a leading byte-order mark left
+    out; a missing or unreadable file is raised as `error`, naming the path
+    and, before it, `what` it is."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except FileNotFoundError:
         raise error(f"{what or 'file '}not found: {path}") from None

@@ -1,49 +1,36 @@
-"""Grid-based structural checks: level-set connectivity, s-concavity,
-total positivity, and tail variation of conditional densities."""
+"""The paper's structural results, checked: grid-based level-set
+connectivity, s-concavity, total positivity and tail variation of
+conditional densities, the closed-form constructions they are checked on,
+and the MLA with riskless coordinates.
+
+`alloc-lab run` reads none of this; `import alloc_lab` does not load it.
+"""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, spatial
+from scipy import ndimage, optimize, spatial, special
 
-from .conditional import elliptical_condition
-from .errors import InconsistencyError, ParameterError
+from .allocation import Allocation
+from .conditional import (
+    ShiftedSimplex,
+    _evaluate,
+    _on_support,
+    elliptical_condition,
+    pin_row_sums,
+    superlevel_mask,
+)
+from .errors import (
+    ConditioningError,
+    InconsistencyError,
+    ParameterError,
+    RangeError,
+    ShapeError,
+)
 from .models import EllipticalJoint, StudentTGen, rng_from_seed
-
-
-@dataclass
-class GridSpec:
-    ranges: list                     # [(lo, hi)] per axis
-    resolution: int = 400
-
-    def __post_init__(self):
-        for lo, hi in self.ranges:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ParameterError("grid ranges must be finite and increasing")
-        if self.resolution < 16:
-            raise ParameterError("grid resolution must be >= 16")
-
-    @property
-    def dim(self):
-        return len(self.ranges)
-
-    def axes(self):
-        return [np.linspace(lo, hi, self.resolution) for lo, hi in self.ranges]
-
-    def points(self):
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
-    def cell_sizes(self):
-        return np.array([(hi - lo) / (self.resolution - 1) for lo, hi in self.ranges])
-
-
-def _evaluate(density, grid):
-    vals = np.asarray(density(grid.points()), dtype=float).ravel()
-    shape = (grid.resolution,) * grid.dim
-    return vals.reshape(shape)
 
 
 def superlevel_components(density, level, grid):
@@ -53,18 +40,13 @@ def superlevel_components(density, level, grid):
     """
     if grid.dim not in (1, 2):
         raise ParameterError("connectivity check supports 1 or 2 dimensions")
-    mask = _evaluate(density, grid) >= level
+    mask = superlevel_mask(density, level, grid)
     axes = grid.axes()
     labels, count = ndimage.label(mask, structure=ndimage.generate_binary_structure(grid.dim, 1))
     boxes = [(np.array([ax[sl.start] for ax, sl in zip(axes, box)]),
               np.array([ax[sl.stop - 1] for ax, sl in zip(axes, box)]))
              for box in ndimage.find_objects(labels)]
     return count, boxes
-
-
-def superlevel_mask(density, level, grid):
-    """Boolean level-set mask, exported for plotting."""
-    return _evaluate(density, grid) >= level
 
 
 def mask_convexity_check(mask, grid, tolerance_cells=1.5):
@@ -285,3 +267,207 @@ def mrv_exponent(target, x, y, t_ladder=None):
     fitted = None if rapid else float(ratios[-1])
     return MRVReport(x, y, used, ratios, fitted, residual, rapid, truncated_at,
                      _elliptical_t_prediction(target, x, y))
+
+
+# ---------------------------------------------------------------------------
+# Special constructions
+# ---------------------------------------------------------------------------
+
+def comonotone_allocation(margins, K):
+    """Common-quantile split: (F_1^{-1}(u*), ..., F_d^{-1}(u*)) summing to K."""
+    K = float(K)
+    if len(margins) == 1:
+        return np.array([margins[0].quantile(margins[0].cdf(K))], dtype=float)
+
+    def total(u):
+        return float(sum(m.quantile(u) for m in margins)) - K
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    flo, fhi = total(lo), total(hi)
+    if flo > 0.0 or fhi < 0.0:
+        raise RangeError(f"K={K} outside the attainable range [{flo + K}, {fhi + K}]")
+    u_star = optimize.brentq(total, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    alloc = np.array([m.quantile(u_star) for m in margins], dtype=float)
+    if abs(alloc.sum() - K) >= 1e-9:
+        raise RangeError("bisection did not reach the requested row-sum tolerance")
+    return alloc
+
+
+def countermonotone_pair_sampler(margin, K, n, seed):
+    """(F^{-1}(U), K - F^{-1}(U)) given U <= F(K); rows sum to K exactly."""
+    fk = float(margin.cdf(K))
+    if fk <= 0.0:
+        raise ConditioningError("F(K) = 0: conditioning event is null")
+    rng = rng_from_seed(seed)
+    u = rng.uniform(0.0, fk, size=n)
+    x1 = np.asarray(margin.quantile(u), dtype=float)
+    out = np.column_stack([x1, K - x1])
+    return pin_row_sums(out, float(K))
+
+
+def _mix_params(alpha, beta):
+    """The complete mix's Dirichlet parameters, a row per component."""
+    if not 0.0 < alpha < beta:
+        raise ParameterError("need 0 < alpha < beta")
+    return np.array([
+        [alpha, alpha, beta],
+        [alpha, beta, alpha],
+        [beta, alpha, alpha],
+    ], dtype=float)
+
+
+def complete_mix_dirichlet(alpha, beta, K, n, seed):
+    """Equal mixture of the three axis permutations of Dir(a, a, b), scaled by K."""
+    params = _mix_params(alpha, beta)
+    rng = rng_from_seed(seed)
+    comp = rng.integers(0, 3, size=n)
+    out = np.empty((n, 3))
+    for m in range(3):
+        idx = np.flatnonzero(comp == m)
+        if idx.size:
+            out[idx] = rng.dirichlet(params[m], size=idx.size)
+    out *= float(K)
+    return pin_row_sums(out, float(K))
+
+
+class CompleteMixTarget:
+    """Conditional density of the first two coordinates of the complete mix.
+
+    The sum is constant K, so the conditional density on the simplex is the
+    mixture Dirichlet density of (x1/K, x2/K) up to the 1/K^2 Jacobian.
+    """
+
+    def __init__(self, alpha, beta, K):
+        self.params = _mix_params(alpha, beta)
+        self.K = float(K)
+        self.d_prime = 2
+        self.support = ShiftedSimplex((0.0, 0.0, 0.0), self.K)
+
+    def _dirichlet_logpdf(self, w, a):
+        logc = special.gammaln(a.sum()) - special.gammaln(a).sum()
+        return logc + np.sum((a - 1.0) * np.log(w), axis=1)
+
+    def log_density(self, xp):
+        return _on_support(self.support, xp, self._log_density_inside)
+
+    def _log_density_inside(self, xp):
+        w = np.column_stack([xp / self.K, 1.0 - xp.sum(axis=1) / self.K])
+        parts = np.stack([self._dirichlet_logpdf(w, a) for a in self.params])
+        return special.logsumexp(parts, axis=0) - math.log(3.0) - 2.0 * math.log(self.K)
+
+
+# ---------------------------------------------------------------------------
+# Homothetic densities
+# ---------------------------------------------------------------------------
+
+class HomotheticModel:
+    """Density with superlevel sets r(t) * D, D a union of boxes around 0.
+
+    r(t) = a * exp(-t/2), so f(x) = -2 log(gauge(x - mu) / a) on its support.
+    """
+
+    def __init__(self, boxes, a, mu=None):
+        self.boxes = []
+        for lo, hi in boxes:
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
+            if lo.shape != hi.shape or lo.ndim != 1:
+                raise ShapeError("box bounds must be matching vectors")
+            if np.any(lo >= 0.0) or np.any(hi <= 0.0):
+                raise ParameterError("every box must contain 0 in its interior")
+            self.boxes.append((lo, hi))
+        if not self.boxes:
+            raise ParameterError("need at least one box")
+        self.d = self.boxes[0][0].size
+        if a <= 0:
+            raise ParameterError("need a > 0")
+        self.a = float(a)
+        self.mu = np.zeros(self.d) if mu is None else np.asarray(mu, dtype=float)
+
+    def r_inverse(self, s):
+        return -2.0 * np.log(np.asarray(s, dtype=float) / self.a)
+
+    def gauge(self, x):
+        """min over boxes of the per-box scaling needed to cover x."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        best = np.full(x.shape[0], np.inf)
+        for lo, hi in self.boxes:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(x > 0.0, x / hi, np.where(x < 0.0, x / lo, 0.0))
+            best = np.minimum(best, ratio.max(axis=1))
+        return best
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        rho = self.gauge(np.atleast_2d(x) - self.mu)
+        out = np.zeros(rho.shape)
+        inside = rho < self.a
+        positive = inside & (rho > 0.0)
+        out[positive] = self.r_inverse(rho[positive])
+        out[rho == 0.0] = np.inf
+        return float(out[0]) if single else out
+
+    def leb_D(self):
+        """Lebesgue volume of the box union by inclusion-exclusion."""
+        total = 0.0
+        for k in range(1, len(self.boxes) + 1):
+            for combo in itertools.combinations(self.boxes, k):
+                lo = np.max([b[0] for b in combo], axis=0)
+                hi = np.min([b[1] for b in combo], axis=0)
+                if np.all(hi > lo):
+                    total += (-1.0) ** (k + 1) * float(np.prod(hi - lo))
+        return total
+
+    def normalization_integral(self):
+        """int_0^inf Leb(r(t) D) dt = Leb(D) a^d 2/d; equals 1 for a valid density."""
+        return self.leb_D() * self.a ** self.d * 2.0 / self.d
+
+    def conditional_slice(self, K):
+        """Callable on x' in R^{d-1}: density at (x', K - 1'x')."""
+        K = float(K)
+
+        def f(xp):
+            xp = np.atleast_2d(np.asarray(xp, dtype=float))
+            full = np.concatenate([xp, (K - xp.sum(axis=1))[:, None]], axis=1)
+            return self.density(full)
+
+        return f
+
+
+# ---------------------------------------------------------------------------
+# MLA with riskless coordinates
+# ---------------------------------------------------------------------------
+
+def mla_with_constants(model, constants, K, pipeline=None):
+    """Riskless coordinates get their constants; the rest get the reduced MLA.
+
+    `model` is the joint model of the free coordinates; `pipeline` is a
+    callable (model, K_reduced) -> Allocation used when more than one
+    coordinate remains free.
+    """
+    constants = list(constants)
+    const_idx = [i for i, _ in constants]
+    if len(set(const_idx)) != len(const_idx):
+        raise ShapeError("duplicate constant indices")
+    c_total = float(sum(v for _, v in constants))
+    d = len(const_idx) + (model.d if model is not None else 0)
+    free_idx = [i for i in range(d) if i not in const_idx]
+    out = np.empty(d)
+    for i, v in constants:
+        if not 0 <= i < d:
+            raise ShapeError("constant index out of range")
+        out[i] = v
+    k_red = float(K) - c_total
+    if not free_idx:
+        if abs(c_total - K) > 1e-9 * max(1.0, abs(K)):
+            raise RangeError("constants do not sum to K within 1e-9 * max(1, |K|)")
+        return Allocation(out, float(K), "MLA")
+    if len(free_idx) == 1:
+        out[free_idx[0]] = k_red
+        return Allocation(out, float(K), "MLA")
+    if pipeline is None:
+        raise ParameterError("a reduced-model pipeline is required for d_free >= 2")
+    red = pipeline(model, k_red)
+    out[free_idx] = red.a
+    return Allocation(out, float(K), "MLA")

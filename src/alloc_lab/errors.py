@@ -56,18 +56,6 @@ class StabilityError(AllocLabError):
     """Numerical instability (divergent trajectories, failed replicates)."""
 
 
-class MultimodalityError(AllocLabError):
-    """A unique global mode was required but several were found.
-
-    Carries the full mode set so callers can route to the adjustment
-    pipeline instead.
-    """
-
-    def __init__(self, message, modeset=None):
-        super().__init__(message)
-        self.modeset = modeset
-
-
 class DegenerateWeightError(AllocLabError):
     """All scenario plausibility weights vanished."""
 

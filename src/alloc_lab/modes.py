@@ -74,8 +74,6 @@ class ModeSet:
     locations: np.ndarray          # (M, d) lifted, rows sum to K
     log_densities: np.ndarray      # unnormalized, descending
     basin_counts: np.ndarray
-    K: float
-    unique_global: bool
     converged_fraction: float
     convergence_warning: bool
 
@@ -324,16 +322,10 @@ def mean_shift_modes(samples, target, cfg=None):
         big[0] = True
     centers, center_logf, counts = centers[big], center_logf[big], counts[big]
 
-    K = float(target.K)
-    unique = True
-    if len(centers) > 1:
-        unique = (center_logf[0] - center_logf[1]) > math.log1p(1e-6)
     return ModeSet(
-        locations=lift(centers, K),
+        locations=lift(centers, float(target.K)),
         log_densities=center_logf,
         basin_counts=counts,
-        K=K,
-        unique_global=unique,
         converged_fraction=converged_fraction,
         convergence_warning=warning,
     )

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy import optimize
 
 from .conditional import pin_row_sums
 from .errors import (
@@ -258,6 +257,8 @@ class Polytope:
         """Chebyshev center of the projected polytope."""
         if self.A.shape[0] == 0:
             return np.zeros(self.d - 1)
+        # only a core run builds a polytope: the other runs never load the LP solver
+        from scipy import optimize
         m, dp = self.A.shape
         norms = np.linalg.norm(self.A, axis=1)
         c = np.zeros(dp + 1)

@@ -61,7 +61,7 @@ def normal_joint(sigma, mu=None):
 
 def crossed_box_model():
     """Star-shaped but non-convex shape set: two crossed boxes around 0."""
-    from alloc_lab.conditional import HomotheticModel
+    from alloc_lab.diagnostics import HomotheticModel
 
     boxes = [((-2.0, -1.0), (2.0, 1.0)), ((-1.0, -2.0), (1.0, 2.0))]
     return HomotheticModel(boxes, a=1.0 / (2.0 * np.sqrt(3.0)))

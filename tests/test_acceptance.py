@@ -24,13 +24,10 @@ from alloc_lab.allocation import (
     multimodality_adjust,
 )
 from alloc_lab.cli import load_config, main, run_pipeline
-from alloc_lab.conditional import (
-    complete_mix_dirichlet,
-    CompleteMixTarget,
-    elliptical_condition,
-)
+from alloc_lab.conditional import GridSpec, elliptical_condition
 from alloc_lab.diagnostics import (
-    GridSpec,
+    CompleteMixTarget,
+    complete_mix_dirichlet,
     mrv_exponent,
     mtp2_conditional_inheritance,
     s_concavity_check,
@@ -239,7 +236,8 @@ def test_criterion_04a_core_hmc():
           and elapsed < 300.0)
     line = report("4a", ok,
                   f"mean=({est[0]:.3f},{est[1]:.3f},{est[2]:.3f}), "
-                  f"acc={diag.acceptance_rate:.3f}, lag1={lag1:.3f}, {elapsed:.0f}s")
+                  f"max z={z.max():.2f}, acc={diag.acceptance_rate:.3f}, lag1={lag1:.3f}, "
+                  f"{elapsed:.0f}s")
     assert ok, line
 
 

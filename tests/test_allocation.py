@@ -8,31 +8,20 @@ from alloc_lab.allocation import (
     ScenarioSet,
     core_polytope,
     euler_allocation,
-    mla,
-    mla_with_constants,
     multimodality_adjust,
 )
 from alloc_lab.conditional import elliptical_condition
+from alloc_lab.diagnostics import mla_with_constants
 from alloc_lab.errors import (
-    MultimodalityError,
     ParameterError,
     RangeError,
     SampleSizeError,
     ShapeError,
 )
 from alloc_lab.models import rng_from_seed
-from alloc_lab.modes import ModeSet
 from alloc_lab.samplers import SlabConfig, slab_sample
 
 from conftest import REF_CORR, normal_joint
-
-
-def make_modeset(locations, K, unique=True):
-    locations = np.atleast_2d(np.asarray(locations, dtype=float))
-    logf = -np.arange(locations.shape[0], dtype=float)
-    return ModeSet(locations=locations, log_densities=logf, basin_counts=np.full(len(logf), 100),
-                   K=float(K), unique_global=unique,
-                   converged_fraction=1.0, convergence_warning=False)
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +81,6 @@ def test_euler_matches_conditional_mean(t5_joint):
 # ---------------------------------------------------------------------------
 # MLA
 # ---------------------------------------------------------------------------
-
-def test_mla_takes_top_mode():
-    ms = make_modeset([[2.0, 3.0, 5.0], [5.0, 3.0, 2.0]], 10.0, unique=True)
-    a = mla(ms)
-    np.testing.assert_array_equal(a.a, [2.0, 3.0, 5.0])
-    assert a.method == "MLA"
-
-
-def test_mla_requires_unique_global_mode():
-    ms = make_modeset([[2.0, 3.0, 5.0], [5.0, 3.0, 2.0]], 10.0, unique=False)
-    with pytest.raises(MultimodalityError) as e:
-        mla(ms)
-    assert e.value.modeset is ms
-
 
 def test_mla_with_constants_paths():
     # all constants

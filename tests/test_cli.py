@@ -289,6 +289,10 @@ LOMAX_PAIR = {
     ({"model": {"kind": "elliptical", "mu": [0.0], "sigma": [[1.0]]}}, "model.mu must be at least 2"),
     ({"model": dict(LOMAX_PAIR, margins=[{"type": "pareto1", "shape": 2.0, "minimum": 20.0}] * 3),
       "capital": {"rule": "fixed", "K": 40.0}}, "capital.K"),
+    # fewer calibration draws than the VaR at p takes, and than a core run takes
+    ({"capital": {"rule": "var", "p": 0.99, "n_cal": 50}}, "capital.n_cal must"),
+    ({"capital": {"rule": "var", "p": 0.99, "n_cal": 500},
+      "sampler": {"method": "hmc", "core": True}}, "capital.n_cal must"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -613,21 +617,19 @@ def test_pipeline_refuses_a_bad_levelset_before_sampling(tmp_path, monkeypatch, 
 # Mode aggregation across replications
 # ---------------------------------------------------------------------------
 
-def make_ms(locs, logfs, K):
+def make_ms(locs, logfs):
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     logfs = np.asarray(logfs, dtype=float)
     return ModeSet(locations=locs, log_densities=logfs,
-                   basin_counts=np.full(len(logfs), 10), K=K,
-                   unique_global=len(logfs) == 1, converged_fraction=1.0,
+                   basin_counts=np.full(len(logfs), 10), converged_fraction=1.0,
                    convergence_warning=False)
 
 
 def test_aggregate_modesets_clusters_and_support_filter():
-    K = 10.0
     stable = [[2.0, 3.0, 5.0], [2.1, 2.9, 5.0], [1.9, 3.1, 5.0]]
-    sets = [make_ms([stable[i]], [0.0], K) for i in range(3)]
+    sets = [make_ms([stable[i]], [0.0]) for i in range(3)]
     # a one-off spurious mode in a single replication
-    sets[1] = make_ms([stable[1], [8.0, 1.0, 1.0]], [0.0, -1.0], K)
+    sets[1] = make_ms([stable[1], [8.0, 1.0, 1.0]], [0.0, -1.0])
     out = aggregate_modesets(sets, radius=1.0)
     assert len(out) == 1
     assert out[0]["support"] == 1.0
@@ -636,9 +638,8 @@ def test_aggregate_modesets_clusters_and_support_filter():
 
 
 def test_aggregate_modesets_keeps_recurring_modes():
-    K = 10.0
     a, b = [2.0, 3.0, 5.0], [6.0, 2.0, 2.0]
-    sets = [make_ms([a, b], [0.0, -0.5], K) for _ in range(4)]
+    sets = [make_ms([a, b], [0.0, -0.5]) for _ in range(4)]
     out = aggregate_modesets(sets, radius=1.0)
     assert len(out) == 2
     # descending cluster density
@@ -689,7 +690,7 @@ def test_ingest_csv_dropped_and_errors(tmp_path):
 def _reference_ingest(path, cols=None):
     """The per-row ingest loop that the C-parsed path must reproduce."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:    # a byte-order mark is no header text
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -946,6 +947,25 @@ def test_main_ingest_exit_codes(tmp_path, capsys):
     gaps = tmp_path / "gaps.csv"
     gaps.write_text("a,b\n1.0,2.0\n,3.0\n4.0,5.0\n")
     assert main(["ingest", str(gaps)]) == 2
+
+
+def test_a_byte_order_mark_does_not_hide_the_first_column_name(tmp_path, capsys):
+    # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+    cols = ["bank", "insurance", "fund"]
+    with open(EXAMPLE_CSV, encoding="utf-8") as fh:
+        text = "".join(line.split(",", 1)[1] for line in fh)    # bank is the first column
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfbank,")
+    assert main(["ingest", str(path), "--cols", *cols]) == 0
+    assert "rows=400" in capsys.readouterr().out
+    expected, _ = ingest_csv(EXAMPLE_CSV, cols=cols)
+    np.testing.assert_array_equal(ingest_csv(str(path), cols=cols)[0], expected)
+    model = {"kind": "empirical", "csv": str(path), "cols": cols}
+    np.testing.assert_array_equal(build_model({"model": model}).rows, expected)
+    cfg, _ = small_config(tmp_path, model=model,
+                          capital={"rule": "var", "p": 0.5, "n_cal": 1000})
+    assert main(["check", cfg]) == 0
 
 
 def test_main_ingest_names_the_row_of_an_overlong_cell(tmp_path, capsys):

@@ -9,14 +9,16 @@ from scipy import stats
 
 import alloc_lab as al
 from alloc_lab.conditional import (
-    CompleteMixTarget,
     ShiftedSimplex,
-    complete_mix_dirichlet,
-    comonotone_allocation,
     conditional_support,
-    countermonotone_pair_sampler,
     elliptical_condition,
     pin_row_sums,
+)
+from alloc_lab.diagnostics import (
+    CompleteMixTarget,
+    comonotone_allocation,
+    complete_mix_dirichlet,
+    countermonotone_pair_sampler,
 )
 from alloc_lab.errors import ConditioningError, ParameterError, RangeError
 
@@ -323,7 +325,7 @@ def test_homothetic_conditional_slice(crossed_box):
 
 
 def test_homothetic_validation():
-    from alloc_lab.conditional import HomotheticModel
+    from alloc_lab.diagnostics import HomotheticModel
     with pytest.raises(ParameterError):
         HomotheticModel([((0.0, -1.0), (2.0, 1.0))], a=0.5)   # 0 not interior
     with pytest.raises(ParameterError):

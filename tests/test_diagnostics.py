@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 import alloc_lab as al
+from alloc_lab.conditional import GridSpec, superlevel_mask
 from alloc_lab.diagnostics import (
-    GridSpec,
     generalized_mean,
     mask_convexity_check,
     mrv_exponent,
@@ -15,7 +15,6 @@ from alloc_lab.diagnostics import (
     mtp2_conditional_inheritance,
     s_concavity_check,
     superlevel_components,
-    superlevel_mask,
 )
 from alloc_lab.errors import ParameterError
 

@@ -10,11 +10,8 @@ from scipy import stats
 
 import alloc_lab as al
 from alloc_lab import modes
-from alloc_lab.conditional import (
-    CompleteMixTarget,
-    complete_mix_dirichlet,
-    elliptical_condition,
-)
+from alloc_lab.conditional import elliptical_condition
+from alloc_lab.diagnostics import CompleteMixTarget, complete_mix_dirichlet
 from alloc_lab.errors import DegenerateWeightError, SampleSizeError
 from alloc_lab.modes import (
     MeanShiftConfig,
@@ -228,7 +225,6 @@ def test_unimodal_gaussian_conditional(t5_joint):
     samples, _ = slab_sample(t5_joint, K, SlabConfig(n=1500, delta=0.1), seed=3)
     modes = mean_shift_modes(samples[:, :2], target)
     assert len(modes) == 1
-    assert modes.unique_global
     exact = elliptical_condition(t5_joint, K).mu
     np.testing.assert_allclose(modes.locations[:, :-1][0], exact, atol=0.12)
     assert abs(modes.locations[0].sum() - K) < 1e-9

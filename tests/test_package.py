@@ -40,13 +40,55 @@ def test_import_does_not_load_scipy_signal():
     # scipy.signal adds about 0.4 s to every interpreter that imports it;
     # the mode grid smooths with scipy.ndimage, which the package loads anyway.
     # Every normalizing constant is in closed form, so no quadrature either.
+    # Neither the package nor the benchmark's set-up path (cli loading each
+    # shipped config) loads the property checks of alloc_lab.diagnostics, the
+    # scipy.spatial they use, or scipy.optimize, which only a core run needs.
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.cfg"))
+    assert len(configs) == 6
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, alloc_lab; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.signal', 'scipy.integrate'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = ("import sys, alloc_lab\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith(("
+            "'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.spatial',"
+            " 'alloc_lab.diagnostics')))\n"
+            "print(loaded())\n"
+            "from alloc_lab import cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    cli.load_config(path)\n"
+            "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, *configs], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def imports_module(source, module):
+    """Whether an import statement of source, at any depth, loads the
+    package's module alloc_lab.<module>."""
+    wanted = f"alloc_lab.{module}"
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "alloc_lab" + (f".{base}" if base else "")
+            targets = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(t == wanted or t.startswith(wanted + ".") for t in targets):
+            return True
+    return False
+
+
+def test_only_diagnostics_reaches_diagnostics():
+    # the property checks load on demand: a run never imports them
+    assert imports_module("from . import diagnostics", "diagnostics")
+    assert imports_module("from alloc_lab.diagnostics import mrv_exponent", "diagnostics")
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "diagnostics.py"
+             and imports_module(path.read_text(encoding="utf-8"), "diagnostics")]
+    assert found == []
 
 
 def pass_throughs(source):
