@@ -196,14 +196,16 @@ def build_model(doc, base_dir="."):
 
 def _model(exp, doc, base_dir):
     """The model of doc; refuses a model of d < 2, a fixed K that no point of
-    its support sums to, and a level set, an HMC mass or a sample size per
-    replication that does not fit d, before any draw."""
+    its support sums to, a chain on a model without a density, a uniform MH
+    proposal on an unbounded support, and a level set, an HMC mass or a
+    sample size per replication that does not fit d, before any draw."""
     model, cfg = build_model(doc, base_dir), exp.sampler
     keys = {"elliptical": "model.mu", "empirical": "model.csv"}
     checked(model.d, keys.get(doc["model"].get("kind"), "model.margins"),
             lambda d: d >= 2, "at least 2 coordinates")
+    lows = model.margin_lowers()
     if exp.K is not None:
-        lowest = float(np.sum(model.margin_lowers()))
+        lowest = float(np.sum(lows))
         checked(exp.K, "capital.K", lambda K: K > lowest,
                 f"above the sum of the margins' lower ends, {lowest:g}")
         highest = model.largest_sum()
@@ -215,6 +217,11 @@ def _model(exp, doc, base_dir):
                 f"d - 1 = {free} [lo, hi] pairs")
         if not model.has_density:
             raise ConfigurationError("levelset must be left out for a model without a density")
+    checked(exp.method, "sampler.method", lambda m: m == "slab" or model.has_density,
+            "'slab' for a model that has no density")
+    checked(getattr(cfg, "proposal", None), "sampler.proposal",
+            lambda p: p != "independent_uniform_simplex" or np.all(np.isfinite(lows)),
+            "'random_walk' on a model whose margins have no lower end")
     checked(getattr(cfg, "mass", None), "sampler.mass",
             lambda m: not isinstance(m, list) or len(m) == free,
             f"null, 'pilot' or a list of d - 1 = {free} entries")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul, sub
+from functools import cached_property, reduce
+from operator import add, mul, sub
 
 import numpy as np
 from scipy import special
@@ -144,17 +144,15 @@ class Lomax(Margin):
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(
+        return np.where(
             x < 0.0,
             -np.inf,
             math.log(self.shape / self.scale)
             - (self.shape + 1.0) * np.log1p(np.maximum(x, 0.0) / self.scale),
         )
-        return out
 
     def dlogpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -(self.shape + 1.0) / (self.scale + x)
+        return -(self.shape + 1.0) / (self.scale + np.asarray(x, dtype=float))
 
     def _ppf(self, p):
         return self.scale * np.expm1(-np.log1p(-p) / self.shape)
@@ -188,8 +186,7 @@ class ParetoI(Margin):
         )
 
     def dlogpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -(self.shape + 1.0) / x
+        return -(self.shape + 1.0) / np.asarray(x, dtype=float)
 
     def _ppf(self, p):
         return self.minimum * np.exp(-np.log1p(-p) / self.shape)
@@ -324,13 +321,6 @@ class DispersionMatrix:
     def d(self):
         return self.matrix.shape[0]
 
-    def solve(self, x):
-        """Sigma^{-1} x for x of shape (d,) or (n, d) (rows)."""
-        x = np.asarray(x, dtype=float)
-        y = np.linalg.solve(self.chol, x.T if x.ndim == 2 else x)
-        z = np.linalg.solve(self.chol.T, y)
-        return z.T if x.ndim == 2 else z
-
     def maha_sq(self, z):
         """z' Sigma^{-1} z for rows z, via the Cholesky factor."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -339,9 +329,9 @@ class DispersionMatrix:
 
 
 # A density generator g, evaluated at t, half the squared Mahalanobis
-# distance (a float, on which it makes no numpy call, or an array of them),
-# gives log g and its derivative as log_g(t, d) and dlog_g(t, d), and the log
-# of the constant c_d that normalizes it in d dimensions as log_c(d).
+# distance, gives log g as log_g(t, d) (t a float, on which it makes no numpy
+# call, or an array of them), its derivative at a float t as dlog_g(t, d), and
+# the log of the constant c_d that normalizes it in d dimensions as log_c(d).
 
 @dataclass(frozen=True)
 class NormalGen:
@@ -349,7 +339,7 @@ class NormalGen:
         return -t
 
     def dlog_g(self, t, d):
-        return -1.0 if isinstance(t, float) else -np.ones_like(t)
+        return -1.0
 
     def log_c(self, d):
         return -d / 2.0 * _LOG_2PI
@@ -381,11 +371,18 @@ class StudentTGen:
 # Elliptical joints
 # ---------------------------------------------------------------------------
 
+def _centred_rows(rng, n, chol, nu=None):
+    """n rows of N(0, LL'), L = chol, or with nu of t_nu(0, LL'): standard
+    normal rows times L', each divided by sqrt(chi2_nu / nu)."""
+    z = rng.standard_normal((n, chol.shape[0])) @ chol.T
+    return z if nu is None else z / np.sqrt(rng.chisquare(nu, size=n) / nu)[:, None]
+
+
 class EllipticalJoint:
     """A normal or t law: location, dispersion and generator.
 
     It, MarginCopula and EmpiricalJoint are the three joint models, with
-    `d`, `has_density`, `logpdf`, `grad_logpdf`, `logpdf_and_grad`,
+    `d`, `has_density`, `logpdf`, `logpdf_and_grad` (at one point),
     `sample(n, seed, slab=None)`, `margin_lowers()` and `largest_sum()`, the
     least upper bound of the row sum over the support.  With slab =
     (K, delta), `sample` may leave out draws whose row sum s has
@@ -418,9 +415,6 @@ class EllipticalJoint:
         out = self._log_norm + self.generator.log_g(t, self.d)
         return float(out[0]) if x.ndim == 1 else out
 
-    def grad_logpdf(self, x):
-        return np.array(self.logpdf_and_grad(x)[1])
-
     def logpdf_and_grad(self, x):
         """(logpdf, gradient) at one point x, a sequence of d floats, as a
         float and a list, on Python floats: w = L^{-1}(x - mu) from the rows
@@ -447,15 +441,11 @@ class EllipticalJoint:
     def sample(self, n, seed, slab=None):
         if n < 1:
             raise SampleSizeError("need n >= 1")
-        rng = rng_from_seed(seed)
-        z = rng.standard_normal((n, self.d)) @ self.dispersion.chol.T
         gen = self.generator
-        if isinstance(gen, NormalGen):
-            return self.mu + z
-        if isinstance(gen, StudentTGen):
-            w = rng.chisquare(gen.nu, size=n) / gen.nu
-            return self.mu + z / np.sqrt(w)[:, None]
-        raise ParameterError("sampling implemented for normal and t generators only")
+        if not isinstance(gen, (NormalGen, StudentTGen)):
+            raise ParameterError("sampling implemented for normal and t generators only")
+        return self.mu + _centred_rows(rng_from_seed(seed), n, self.dispersion.chol,
+                                       getattr(gen, "nu", None))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +461,8 @@ class CopulaModel:
     `grid_position(latent, cells, out)`, which writes the position of each
     latent value on that grid in units of cells (NaN where it has none);
     MarginCopula tabulates its latent-to-loss map on those nodes.
+    `logdensity(u)` is log c at rows u, and `logdensity_and_grad(u)` log c
+    and its gradient in u at one point u of the open unit cube.
     """
 
     def latent(self, n, rng):
@@ -478,12 +470,6 @@ class CopulaModel:
 
     def to_uniform(self, latent):
         return latent
-
-    def sample(self, n, rng):
-        return self.to_uniform(self.latent(n, rng))
-
-    def logdensity(self, u):
-        raise NotImplementedError
 
 
 class IndependenceCopula(CopulaModel):
@@ -502,11 +488,10 @@ class IndependenceCopula(CopulaModel):
         return np.multiply(u, cells, out=out)
 
     def logdensity(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.zeros(u.shape[0])
+        return np.zeros(np.atleast_2d(u).shape[0])
 
-    def dlogdensity_du(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+    def logdensity_and_grad(self, u):
+        return 0.0, np.zeros(self.d)
 
 
 class StudentTCopula(CopulaModel):
@@ -526,9 +511,7 @@ class StudentTCopula(CopulaModel):
 
     def latent(self, n, rng):
         # not self.joint.sample, whose rows perfbench/tracing.py would count twice
-        z = rng.standard_normal((n, self.d)) @ self.corr.chol.T
-        w = rng.chisquare(self.nu, size=n) / self.nu
-        return z / np.sqrt(w)[:, None]
+        return _centred_rows(rng, n, self.corr.chol, self.nu)
 
     def to_uniform(self, t):
         return self.margin.cdf(t)
@@ -561,12 +544,14 @@ class StudentTCopula(CopulaModel):
         z = self._z(u)
         return self.joint.logpdf(z) - np.sum(self.margin.logpdf(z), axis=1)
 
-    def dlogdensity_du(self, u):
-        """Gradient of log c wrt u, row-wise."""
+    def logdensity_and_grad(self, u):
+        """From one inversion z of u: log c as `logdensity` gives it, and dlog c/du_j
+        = (dlog t_{nu,corr}/dz_j - dlog t_nu/dz_j) / t_nu(z_j) on the joint's float route."""
         z = self._z(u)
-        t = 0.5 * self.corr.maha_sq(z)
-        djoint_dz = self.joint.generator.dlog_g(t, self.d)[:, None] * self.corr.solve(z)
-        return (djoint_dz - self.margin.dlogpdf(z)) * np.exp(-self.margin.logpdf(z))
+        log_t1 = self.margin.logpdf(z)
+        dz = self.joint.logpdf_and_grad(z[0].tolist())[1]
+        return (float(self.joint.logpdf(z)[0] - np.sum(log_t1, axis=1)[0]),
+                (np.array(dz) - self.margin.dlogpdf(z[0])) * np.exp(-log_t1[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +596,27 @@ class MarginCopula:
             out[ok] = lm + lc
         return float(out[0]) if single else out
 
-    def grad_logpdf(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        lows = self.margin_lowers()
-        if np.any(x <= lows):
-            raise BoundaryError("gradient requested on or outside the support boundary")
-        if not self.has_density:
-            raise DataError("model has no density")
-        u = np.array([m.cdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-        pdf = np.array([np.exp(m.logpdf(x[j])) for j, m in enumerate(self.margins)], dtype=float)
-        dlm = np.array([m.dlogpdf(x[j]) for j, m in enumerate(self.margins)], dtype=float)
-        dc = self.copula.dlogdensity_du(u[None, :])[0]
-        return dc * pdf + dlm
-
     def logpdf_and_grad(self, x):
-        """(logpdf, gradient as a list) at one point, a sequence of d floats;
-        no gradient where the density is 0."""
-        x = np.asarray(x, dtype=float)
-        lp = self.logpdf(x)
-        return lp, (self.grad_logpdf(x).tolist() if lp > -np.inf else None)
+        """(logpdf, gradient as a list) at one point x, a sequence of d floats,
+        from one evaluation of each margin and of the copula; the value is
+        `logpdf(x)`'s, bit for bit.  (-inf, None) outside the support or where
+        the density is 0; a DataError for a margin without a density, then a
+        BoundaryError on a margin's lower end."""
+        xs = np.array([x], dtype=float)     # laid out as a row of a logpdf batch
+        lows = self.margin_lowers()
+        if not np.all(xs >= lows):
+            return -math.inf, None
+        cols = list(zip(self.margins, xs.T))
+        log_f = np.concatenate([m.logpdf(c) for m, c in cols])
+        if np.any(xs == lows):
+            raise BoundaryError("gradient requested on the support boundary")
+        u = np.concatenate([m.cdf(c) for m, c in cols])
+        lc, dc = self.copula.logdensity_and_grad(np.clip(u, 1e-15, 1.0 - 1e-15))
+        lp = reduce(add, log_f.tolist()) + lc       # added as logpdf adds them
+        if not lp > -math.inf:
+            return lp, None
+        dlm = np.concatenate([m.dlogpdf(c) for m, c in cols])
+        return lp, (dc * np.exp(log_f) + dlm).tolist()
 
     def sample(self, n, seed, slab=None):
         """n draws; with slab = (K, delta), the latent rows whose bounded row
@@ -737,7 +724,7 @@ class EmpiricalJoint:
     def logpdf(self, x):
         raise DataError("empirical model has no density")
 
-    grad_logpdf = logpdf_and_grad = logpdf
+    logpdf_and_grad = logpdf
 
     def sample(self, n, seed, slab=None):
         """n stored rows drawn with replacement; with slab = (K, delta), the

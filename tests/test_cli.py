@@ -293,6 +293,15 @@ LOMAX_PAIR = {
     ({"capital": {"rule": "var", "p": 0.99, "n_cal": 50}}, "capital.n_cal must"),
     ({"capital": {"rule": "var", "p": 0.99, "n_cal": 500},
       "sampler": {"method": "hmc", "core": True}}, "capital.n_cal must"),
+    # a chain on a model without a density, and a uniform MH proposal on a
+    # support without lower ends: run refused both only after drawing
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "insurance", "fund"]},
+      "capital": {"rule": "fixed", "K": 3.0}, "sampler": {"method": "hmc"}}, "sampler.method"),
+    ({"model": {"kind": "empirical", "csv": EXAMPLE_CSV, "cols": ["bank", "insurance", "fund"]},
+      "capital": {"rule": "var", "p": 0.9, "n_cal": 1000}, "sampler": {"method": "mh"}},
+     "sampler.method"),
+    ({"sampler": {"method": "mh", "proposal": "independent_uniform_simplex"}},
+     "sampler.proposal must be 'random_walk'"),
 ])
 def test_check_names_the_bad_key(tmp_path, capsys, override, key):
     path, _ = small_config(tmp_path, **override)
@@ -347,12 +356,14 @@ EMPIRICAL_MODELS = {
 @pytest.mark.parametrize("method", ["mh", "hmc"])
 @pytest.mark.parametrize("empirical", EMPIRICAL_MODELS)
 def test_a_chain_on_an_empirical_model_ends_in_a_data_error(tmp_path, capsys, empirical, method):
+    # refused before the capital calibration, naming the key
     path, _ = small_config(tmp_path, model=EMPIRICAL_MODELS[empirical],
                            capital={"rule": "var", "p": 0.5, "n_cal": 1000},
                            sampler={"method": method, "chain_length": 200}, replications=1)
     assert main(["run", path]) == 1
     err = capsys.readouterr().err
     assert "has no density" in err and "Traceback" not in err
+    assert "sampler.method must be 'slab'" in err
 
 
 def _key_paths(node, keys=()):

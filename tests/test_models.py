@@ -20,7 +20,7 @@ from alloc_lab.models import (
     split_seeds,
 )
 
-from conftest import REF_CORR, _fd_grad
+from conftest import LOMAX_CORRS, REF_CORR, _fd_grad, lomax_t_model
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,6 @@ def test_dispersion_validation():
 def test_dispersion_solve_and_maha():
     m = al.DispersionMatrix(REF_CORR)
     x = np.array([0.3, -1.2, 0.7])
-    np.testing.assert_allclose(m.matrix @ m.solve(x), x, atol=1e-12)
     np.testing.assert_allclose(m.maha_sq(x)[0], x @ np.linalg.solve(REF_CORR, x),
                                rtol=1e-12)
     assert abs(m.log_det - math.log(np.linalg.det(REF_CORR))) < 1e-12
@@ -221,12 +220,6 @@ def test_elliptical_t_matches_scipy(t5_joint):
     np.testing.assert_allclose(t5_joint.logpdf(x), ref.logpdf(x), rtol=1e-12)
 
 
-def test_elliptical_gradient(t5_joint):
-    x = np.array([1.2, -0.4, 2.5])
-    fd = _fd_grad(t5_joint.logpdf, x)
-    np.testing.assert_allclose(t5_joint.grad_logpdf(x), fd, rtol=1e-5)
-
-
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("generator", [al.NormalGen(), al.StudentTGen(4.0)], ids=["normal", "t"])
 def test_float_evaluation_matches_the_batch_logpdf_and_differences(generator, d):
@@ -281,16 +274,9 @@ def test_t_copula_density_oracle():
     np.testing.assert_allclose(cop.logdensity(u), expected, rtol=1e-10)
 
 
-def test_t_copula_density_gradient():
-    cop = al.StudentTCopula(5.0, np.array([[1.0, -0.4], [-0.4, 1.0]]))
-    u = np.array([0.35, 0.62])
-    fd = _fd_grad(lambda v: float(cop.logdensity(v[None, :])[0]), u)
-    np.testing.assert_allclose(cop.dlogdensity_du(u[None, :])[0], fd, rtol=1e-5)
-
-
 def _t_copula_reference(cop, u):
-    """(logdensity, dlogdensity_du) of a StudentTCopula at u by the formulas
-    that wrote its univariate t margin out, kept as the reference for their bits."""
+    """logdensity of a StudentTCopula at u by the formulas that wrote its
+    univariate t margin out, kept as the reference for their bits."""
     z = special.stdtrit(cop.nu, np.atleast_2d(u))
     nu, d = cop.nu, cop.d
     c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
@@ -302,9 +288,7 @@ def _t_copula_reference(cop, u):
         - d / 2.0 * math.log(nu * math.pi) - 0.5 * cop.corr.log_det
         - (nu + d) / 2.0 * np.log1p(q / nu)
     )
-    djoint_dz = -(nu + d) / (nu + q)[:, None] * cop.corr.solve(z)
-    dmarg_dz = -(nu + 1.0) * z / (nu + z * z)
-    return log_joint - np.sum(log_t1, axis=1), (djoint_dz - dmarg_dz) * np.exp(-log_t1)
+    return log_joint - np.sum(log_t1, axis=1)
 
 
 @pytest.mark.parametrize("d,nu", [(2, 4.0), (3, 5.0)])
@@ -319,14 +303,12 @@ def test_t_copula_is_bitwise_its_written_out_formulas(d, nu):
     u[:3] = np.array([1e-15, 1.0 - 1e-15, 0.5])[:, None]
     u[3] = [1e-15, 1.0 - 1e-15, 1e-15][:d]
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    logdens, grad = _t_copula_reference(cop, u)
-    assert cop.logdensity(u).tobytes() == logdens.tobytes()
-    assert cop.dlogdensity_du(u).tobytes() == grad.tobytes()
+    assert cop.logdensity(u).tobytes() == _t_copula_reference(cop, u).tobytes()
 
 
 def test_t_copula_samples_in_cube():
     cop = al.StudentTCopula(5.0, REF_CORR)
-    u = cop.sample(5000, rng_from_seed(3))
+    u = cop.to_uniform(cop.latent(5000, rng_from_seed(3)))
     assert u.shape == (5000, 3)
     assert np.all((u > 0.0) & (u < 1.0))
     # uniform margins
@@ -368,7 +350,7 @@ def test_empirical_joint():
         x = model.sample(100, rng_from_seed(4))
         assert all(any(np.array_equal(r, s) for s in rows) for r in x)
         assert not model.has_density
-        for method in (model.logpdf, model.grad_logpdf, model.logpdf_and_grad):
+        for method in (model.logpdf, model.logpdf_and_grad):
             with pytest.raises(DataError, match="has no density"):
                 method(x[0])
     np.testing.assert_array_equal(al.model_from_config(doc).margin_lowers(), [-np.inf, 0.0])
@@ -390,14 +372,62 @@ def test_margin_copula_density_decomposition(m1_model):
 
 def test_margin_copula_outside_support(m1_model):
     assert m1_model.logpdf(np.array([-0.5, 1.0, 1.0])) == -np.inf
+    assert m1_model.logpdf_and_grad([-0.5, 1.0, 1.0]) == (-np.inf, None)
     with pytest.raises(BoundaryError):
-        m1_model.grad_logpdf(np.array([0.0, 1.0, 1.0]))
+        m1_model.logpdf_and_grad([0.0, 1.0, 1.0])
 
 
-def test_margin_copula_gradient(m1_model):
-    x = np.array([2.0, 3.0, 1.5])
-    fd = _fd_grad(m1_model.logpdf, x)
-    np.testing.assert_allclose(m1_model.grad_logpdf(x), fd, rtol=1e-5)
+MIXED_MARGINS = [al.Lomax(2.5, 5.0), al.ParetoI(3.0, 2.0), al.Normal(0.5, 1.5),
+                 al.StudentT(4.0, 1.0, 2.0)]
+MIXED_CORR = np.array([[1.0, -0.4, 0.3, 0.2], [-0.4, 1.0, 0.1, -0.3],
+                       [0.3, 0.1, 1.0, 0.25], [0.2, -0.3, 0.25, 1.0]])
+
+# every kind of model with a density, and a point inside its support
+POINT_MODELS = {
+    "normal": (al.EllipticalJoint([0.5, -1.0, 2.0], REF_CORR, al.NormalGen()), [1.2, -0.4, 2.5]),
+    "t5": (al.EllipticalJoint(np.zeros(3), REF_CORR, al.StudentTGen(5.0)), [1.2, -0.4, 2.5]),
+    "m1": (lomax_t_model(LOMAX_CORRS["m1"]), [2.0, 3.0, 1.5]),
+    "independence": (al.MarginCopula(MIXED_MARGINS, al.IndependenceCopula(4)),
+                     [3.0, 2.5, -0.7, 1.9]),
+    "t_copula": (al.MarginCopula(MIXED_MARGINS, al.StudentTCopula(5.0, MIXED_CORR)),
+                 [3.0, 2.5, -0.7, 1.9]),
+}
+
+
+@pytest.mark.parametrize("name", POINT_MODELS)
+def test_point_evaluation(name, monkeypatch):
+    # logpdf_and_grad is the one evaluation at a point: logpdf's value (bit
+    # for bit for a margin copula), its gradient, one inversion u -> z of a
+    # t copula, (-inf, None) outside the support, a refusal on a lower end
+    model, x = POINT_MODELS[name]
+    inversions = []
+    invert = al.StudentTCopula._z
+    monkeypatch.setattr(al.StudentTCopula, "_z",
+                        lambda cop, u: inversions.append(u) or invert(cop, u))
+    lp, g = model.logpdf_and_grad(x)
+    copula = getattr(model, "copula", None)
+    assert len(inversions) == isinstance(copula, al.StudentTCopula)
+    assert type(lp) is float and isinstance(g, list) and all(type(v) is float for v in g)
+    if copula is None:
+        assert math.isclose(lp, model.logpdf(np.array(x)), rel_tol=1e-12)
+    else:
+        assert lp == model.logpdf(np.array(x))
+    np.testing.assert_allclose(g, _fd_grad(model.logpdf, x), rtol=1e-5)
+    if copula is not None:
+        # the copula's own point evaluation: logdensity's value, its u-gradient
+        u = np.array([float(m.cdf(v)) for m, v in zip(model.margins, x)])
+        lc, dc = copula.logdensity_and_grad(u)
+        assert lc == copula.logdensity(u[None, :])[0]
+        np.testing.assert_allclose(dc, _fd_grad(lambda v: copula.logdensity(v[None, :])[0], u),
+                                   rtol=1e-5, atol=1e-9)
+    lows = model.margin_lowers()
+    assert (copula is None) == np.all(np.isneginf(lows))
+    for j in np.flatnonzero(np.isfinite(lows)):
+        outside, edge = list(x), list(x)
+        outside[j], edge[j] = lows[j] - 0.5, lows[j]
+        assert model.logpdf_and_grad(outside) == (-np.inf, None)
+        with pytest.raises(BoundaryError):
+            model.logpdf_and_grad(edge)
 
 
 def test_margin_copula_sampling_margins(m1_model):

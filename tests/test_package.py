@@ -172,3 +172,55 @@ def test_a_core_run_looks_up_core_polytope_on_cli_once(tmp_path, monkeypatch):
     assert cli.run_experiment(str(path), output=str(tmp_path / "out")) == 0
     assert len(calls) == 1
     assert (tmp_path / "out" / "chain.csv").exists()
+
+
+# what the three joint models answer: one evaluation at a point, draws, and
+# the two bounds of the support that `check` reads
+JOINT_PROTOCOL = {"logpdf", "logpdf_and_grad", "sample", "margin_lowers", "largest_sum"}
+
+
+def public_methods(cls):
+    return {name for name, value in vars(cls).items()
+            if callable(value) and not name.startswith("_")}
+
+
+def test_the_joint_models_share_one_protocol():
+    assert public_methods(al.EllipticalJoint) == JOINT_PROTOCOL
+    assert public_methods(al.EmpiricalJoint) == JOINT_PROTOCOL
+    # a margin copula adds only the latent-to-loss map and its slab screen
+    assert public_methods(al.MarginCopula) - JOINT_PROTOCOL == {"transform", "row_sum_bounds"}
+    assert JOINT_PROTOCOL <= public_methods(al.MarginCopula)
+
+
+def definitions(source):
+    """'Class.name' for each def and assigned name in a class body of source,
+    'name' for those outside any class."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [child.name]
+            elif isinstance(child, ast.Assign):
+                names = [t.id for t in child.targets if isinstance(t, ast.Name)]
+            found.update(f"{owner}.{n}" if owner else n for n in names)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_module_defines_a_gradient_only_method():
+    # a model's gradient comes with its value from logpdf_and_grad alone
+    assert definitions("class A:\n    x = y = 1\n    def f(self):\n        pass\n"
+                       "def g():\n    pass\n") == {"A.x", "A.y", "A.f", "g"}
+    gone = {"DispersionMatrix.solve", "CopulaModel.sample"}
+    found = {path.name: sorted(n for n in definitions(path.read_text(encoding="utf-8"))
+                               if n in gone or n.rsplit(".", 1)[-1] in
+                               ("grad_logpdf", "dlogdensity_du"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
