@@ -411,8 +411,8 @@ def _run(exp, doc, base_dir):
                                 f"fewer than {least}; the modes may change with the "
                                 "replication count")
 
-    # rows are pinned to sum to K, but where K is small against the
-    # coordinates no float row may sum to it exactly
+    # a row is pinned to sum to K wherever some float of its last coordinate
+    # gives K; where K is small against the coordinates, none may
     for r, s in enumerate(rep_samples):
         missed = int(np.count_nonzero(s.sum(axis=1) != K))
         if missed:

@@ -15,11 +15,57 @@ from .errors import ParameterError, ShapeError
 from .models import EllipticalJoint, NormalGen, StudentTGen
 
 
+_MAGNITUDE_BITS = np.int64(2 ** 63 - 1)
+
+
+def _ordered(bits):
+    """int64 keys in the order of the floats whose bits they are, and the
+    bits back from the keys: the map is its own inverse."""
+    return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
+
+
+def _pin_last_coordinate(x, K):
+    """Move the last coordinate of each row that misses K to the float
+    nearest its value at which the row sums to K, where the floats up to two
+    residuals K - s away hold one; other rows stay as they are.
+
+    The row sum does not fall as the last coordinate rises, so a bisection
+    over the keys of those floats finds the first whose sum is no longer on
+    the old side of K: it sums to K or no float there does.  The keys span
+    less than 2**62, so it takes at most 62 steps.
+    """
+    s = x.sum(axis=1)
+    rows = np.flatnonzero(s != K)
+    old = x[rows, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = old + 2.0 * (K - s[rows])
+    start, end = _ordered(old.view(np.int64)), _ordered(far.view(np.int64))
+    ok = np.isfinite(far) & (np.abs(end.astype(float) - start.astype(float)) < 2.0 ** 62)
+    rows, start, end, below = rows[ok], start[ok], end[ok], s[rows[ok]] < K
+    trial = x[rows]
+    direction = np.where(below, 1, -1)
+    same, cross = np.zeros(rows.size, dtype=np.int64), np.abs(end - start)
+
+    def sums_at(steps):
+        trial[:, -1] = _ordered(start + direction * steps).view(float)
+        return trial.sum(axis=1)
+
+    while np.any(cross - same > 1):
+        mid = same + (cross - same) // 2
+        t = sums_at(mid)
+        crossed = np.where(below, t >= K, t <= K)
+        same, cross = np.where(crossed, same, mid), np.where(crossed, mid, cross)
+    hit = sums_at(cross) == K
+    x[rows[hit], -1] = trial[hit, -1]
+
+
 def pin_row_sums(x, K):
     """Adjust the last column so every row sums to K bit-tightly.
 
-    Rows whose coordinates are so large that the correction is absorbed by
-    rounding are left at the closest representable sum.
+    A residual step K - s moves most rows onto K; rows that it jumps over K
+    go to the nearest float of the last coordinate that sums to K
+    (`_pin_last_coordinate`).  Rows whose coordinates are so large that no
+    such float exists are left at the closest representable sum.
     """
     x = np.array(x, dtype=float)
     if not np.isfinite(x).all():
@@ -34,6 +80,7 @@ def pin_row_sums(x, K):
         if stuck.all():
             break
         x[bad, -1] = adjusted
+    _pin_last_coordinate(x, K)
     resid = np.abs(x.sum(axis=1) - K)
     scale = np.max(np.abs(x), axis=1) + abs(K)
     if np.any(resid > 8.0 * np.finfo(float).eps * scale):

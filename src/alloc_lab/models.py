@@ -684,11 +684,14 @@ class MarginCopula:
         for j in range(self.d):
             self.copula.grid_position(latent[:, j], SCREEN_CELLS, pos)
             # fmin/fmax send a NaN position to the top node for hi and the
-            # bottom node for lo; the cast truncates, i.e. floors
+            # bottom node for lo; the cast truncates, i.e. floors.  A position
+            # is NaN or in [0, SCREEN_CELLS], so every index is in range here
+            # and mode="clip" moves none; it spares the buffer that numpy
+            # makes for `out` under the default mode="raise"
             np.fmin(pos, SCREEN_CELLS, out=idx, casting="unsafe")
-            hi += np.take(upper[j], idx, out=vals)
+            hi += np.take(upper[j], idx, out=vals, mode="clip")
             np.fmax(pos, 0.0, out=idx, casting="unsafe")
-            lo += np.take(lower[j], idx, out=vals)
+            lo += np.take(lower[j], idx, out=vals, mode="clip")
         return lo, hi
 
 

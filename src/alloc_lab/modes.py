@@ -205,6 +205,9 @@ def grid_starts(samples, H):
     pointers climb to a local maximum.  starts holds the maxima; basin[i] is
     the index in starts of the maximum that sample i's nearest node climbs
     to.
+
+    All of this runs on the block of nodes that hold binned mass plus one
+    ring around it; the result is bitwise that of the whole grid.
     """
     d = samples.shape[1]
     chol = DispersionMatrix(H).chol
@@ -213,11 +216,24 @@ def grid_starts(samples, H):
     cell = (white.max(axis=0) + GRID_PAD - lo) / (GRID_SIZE - 1)
     if cell.max() > GRID_MAX_CELL:
         return None
-    shape = (GRID_SIZE,) * d
     pos = (white - lo) / cell
     base = np.clip(pos.astype(int), 0, GRID_SIZE - 2)
     frac = pos - base
-    binned = np.zeros(GRID_SIZE ** d)
+    # The block: the nodes that hold mass (base.min() .. base.max() + 1 on
+    # each axis) and one ring around them; the pad of GRID_PAD kernel s.d.,
+    # at least 16 cells, keeps it inside the grid.  Its bits are the whole
+    # grid's.  The filter runs line by line, and mode "constant" pads each
+    # line with exactly the zeros that the grid holds outside the block, so
+    # every block value is the grid's.  Beyond the mass the smoothed field
+    # falls strictly away from it along each axis, so no node out there is a
+    # local maximum and no positive node's pointer leaves the block; the ring
+    # gives the mass's edge nodes their neighbours.  Zero nodes may point
+    # elsewhere, but no draw's nearest node is zero, and no chain from a
+    # positive node reaches one.
+    first = base.min(axis=0) - 1
+    shape = tuple(base.max(axis=0) + 3 - first)
+    base -= first
+    binned = np.zeros(math.prod(shape))
     for corner in itertools.product((0, 1), repeat=d):
         share = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
         node = np.ravel_multi_index((base + corner).T, shape)
@@ -231,7 +247,7 @@ def grid_starts(samples, H):
     step = np.zeros(shape, dtype=int)
     strides = np.array(dens.strides) // dens.itemsize
     for off in itertools.product((-1, 0, 1), repeat=d):
-        height = padded[tuple(slice(1 + o, 1 + o + GRID_SIZE) for o in off)]
+        height = padded[tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, shape))]
         step[height > top] = np.dot(off, strides)
         np.maximum(top, height, out=top)
     ptr = np.arange(dens.size) + step.ravel()
@@ -241,9 +257,10 @@ def grid_starts(samples, H):
             break
         ptr = nxt
     peaks = np.flatnonzero((ptr == np.arange(dens.size)) & (dens.ravel() > 0.0))
-    nearest = np.ravel_multi_index(np.rint(pos).astype(int).T, shape)
+    nearest = np.ravel_multi_index((np.rint(pos).astype(int) - first).T, shape)
     basin = np.searchsorted(peaks, ptr[nearest])
-    starts = (lo + np.column_stack(np.unravel_index(peaks, shape)) * cell) @ chol.T
+    node = np.column_stack(np.unravel_index(peaks, shape)) + first
+    starts = (lo + node * cell) @ chol.T
     return starts, basin
 
 

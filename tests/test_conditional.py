@@ -44,6 +44,51 @@ def test_pin_row_sums_large_coordinates():
     assert abs(out.sum() - 5.0) <= 8 * np.finfo(float).eps * (1e16 + 5.0)
 
 
+def test_pin_row_sums_steps_below_the_ulp_of_K():
+    # the row misses K by one ulp of K, which is 8 ulps of the last
+    # coordinate; a residual step jumps over K, one ulp up lands on it
+    K = 10.121238
+    x = np.array([[1.9516204434785365, 7.160954680581389, 1.0086628759400744]])
+    assert x.sum() == K - np.spacing(K)
+    out = pin_row_sums(x, K)
+    assert out.sum() == K
+    assert np.array_equal(out[:, :2], x[:, :2])
+    assert out[0, 2] == np.nextafter(x[0, 2], np.inf)
+
+
+def test_pin_row_sums_reaches_K_wherever_a_last_coordinate_does():
+    # against a scan of the 300 floats either side of the last coordinate,
+    # whose magnitude keeps every float that could sum to K in the scan
+    rng = np.random.default_rng(31)
+    n = 400
+    K = rng.uniform(0.05, 50.0, n)
+    x = np.empty((n, 3))
+    x[:, 0] = K * rng.uniform(-1.0, 1.5, n) * rng.choice([1e-3, 1.0, 10.0, 100.0], n)
+    x[:, 1] = K * rng.uniform(-1.0, 1.5, n)
+    x[:, 2] = K - x[:, 0] - x[:, 1]
+    keep = np.abs(x[:, 2]) >= K / 8.0
+    K, x = K[keep], x[keep]
+    missed = 0
+    for k, row in zip(K, x):
+        scan = np.repeat(row[None, :], 601, axis=0)
+        scan[:, 2] = _floats_around(row[2], 300)
+        reachable = bool(np.any(scan.sum(axis=1) == k))
+        out = pin_row_sums(row[None, :], k)
+        assert np.array_equal(out[0, :2], row[:2])
+        assert (out.sum() == k) == reachable
+        missed += row.sum() != k
+    assert missed > 50      # rows that the residual step alone leaves
+
+
+def _floats_around(v, count):
+    """The 2 count + 1 floats nearest v, in order, one nextafter at a time."""
+    up, down = [v], [v]
+    for _ in range(count):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    return np.array(down[:0:-1] + up)
+
+
 def test_pin_row_sums_unreachable():
     with pytest.raises(ParameterError):
         pin_row_sums(np.array([[np.inf, 1.0]]), 3.0)

@@ -1,4 +1,5 @@
 """Kernel mean-shift mode estimation and scenario weights."""
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 import alloc_lab as al
 from alloc_lab import modes
@@ -335,6 +336,87 @@ def _assert_same_mode_set(a, b):
     assert np.array_equal(a.log_densities, b.log_densities)
     assert np.array_equal(a.basin_counts, b.basin_counts)
     assert a.converged_fraction == b.converged_fraction
+
+
+def full_grid_starts(samples, H):
+    """grid_starts on all GRID_SIZE**d nodes: the reference that its block
+    of nodes must match bit for bit."""
+    d = samples.shape[1]
+    chol = DispersionMatrix(H).chol
+    white = np.linalg.solve(chol, samples.T).T
+    lo = white.min(axis=0) - modes.GRID_PAD
+    cell = (white.max(axis=0) + modes.GRID_PAD - lo) / (modes.GRID_SIZE - 1)
+    if cell.max() > modes.GRID_MAX_CELL:
+        return None
+    size = modes.GRID_SIZE
+    shape = (size,) * d
+    pos = (white - lo) / cell
+    base = np.clip(pos.astype(int), 0, size - 2)
+    frac = pos - base
+    binned = np.zeros(size ** d)
+    for corner in itertools.product((0, 1), repeat=d):
+        share = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
+        node = np.ravel_multi_index((base + corner).T, shape)
+        binned += np.bincount(node, share, minlength=binned.size)
+    dens = ndimage.gaussian_filter(binned.reshape(shape), 1.0 / cell,
+                                   truncate=modes.GRID_PAD, mode="constant")
+    padded = np.pad(dens, 1, constant_values=-1.0)
+    top = np.full(shape, -np.inf)
+    step = np.zeros(shape, dtype=int)
+    strides = np.array(dens.strides) // dens.itemsize
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        height = padded[tuple(slice(1 + o, 1 + o + size) for o in off)]
+        step[height > top] = np.dot(off, strides)
+        np.maximum(top, height, out=top)
+    ptr = np.arange(dens.size) + step.ravel()
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    peaks = np.flatnonzero((ptr == np.arange(dens.size)) & (dens.ravel() > 0.0))
+    nearest = np.ravel_multi_index(np.rint(pos).astype(int).T, shape)
+    basin = np.searchsorted(peaks, ptr[nearest])
+    starts = (lo + np.column_stack(np.unravel_index(peaks, shape)) * cell) @ chol.T
+    return starts, basin
+
+
+def _t2_cloud_with_outlier():
+    x = rng_from_seed(21).standard_t(2.0, size=(300, 2)) @ [[1.0, 0.3], [0.0, 0.8]]
+    return np.vstack([x, [[40.0, -25.0]]])
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("case", [
+    lambda joint: _two_clusters(rng_from_seed(11)),
+    lambda joint: _complete_mix()[0],
+    lambda joint: _t5_slab(joint)[0],
+    lambda joint: _t2_cloud_with_outlier(),
+    lambda joint: rng_from_seed(22).standard_t(4.0, size=(500, 1)),
+], ids=["two-clusters", "complete-mix", "t5-slab", "t2-outlier", "one-coordinate"])
+def test_grid_block_is_bitwise_the_full_grid(t5_joint, case, scale):
+    x = case(t5_joint)
+    H = scale * plugin_bandwidth(x)
+    ref = full_grid_starts(x, H)
+    got = modes.grid_starts(x, H)
+    if ref is None:
+        assert got is None
+        return
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+def test_grid_filter_sees_the_mass_block_only(monkeypatch):
+    x = rng_from_seed(23).standard_normal((300, 2)) @ [[1.0, 0.5], [0.0, 1.5]]
+    seen = []
+
+    def recording_filter(field, *args, **kwargs):
+        seen.append(field.shape)
+        return ndimage.gaussian_filter(field, *args, **kwargs)
+
+    monkeypatch.setattr(modes, "gaussian_filter", recording_filter)
+    assert modes.grid_starts(x, plugin_bandwidth(x)) is not None
+    assert len(seen) == 1 and math.prod(seen[0]) < 0.5 * modes.GRID_SIZE ** 2
 
 
 def test_three_free_coordinates_take_the_dense_path(monkeypatch):
