@@ -412,12 +412,11 @@ def _run(exp, doc, base_dir):
                                 "replication count")
 
     # a row is pinned to sum to K wherever some float of its last coordinate
-    # gives K; where K is small against the coordinates, none may
-    for r, s in enumerate(rep_samples):
-        missed = int(np.count_nonzero(s.sum(axis=1) != K))
-        if missed:
-            warnings.append(f"replication {r}: {missed} of {s.shape[0]} sample rows "
-                            f"do not sum to K = {K!r} in floating point")
+    # gives K; where K is small against the coordinates, none may: one warning
+    missed = [f"replication {r}: {n} of {s.shape[0]}" for r, s in enumerate(rep_samples)
+              if (n := int(np.count_nonzero(s.sum(axis=1) != K)))]
+    if missed:
+        warnings.append(f"{', '.join(missed)} sample rows do not sum to K = {K!r} in floating point")
 
     eulers = [euler_allocation(s, K, ess=ess) for s, ess in zip(rep_samples, rep_ess)]
     euler_reps = np.array([e.a for e in eulers])

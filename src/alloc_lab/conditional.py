@@ -12,7 +12,7 @@ from operator import gt
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .models import EllipticalJoint, NormalGen, StudentTGen
+from .models import EllipticalJoint, NormalGen, StudentTGen, total
 
 
 _MAGNITUDE_BITS = np.int64(2 ** 63 - 1)
@@ -161,7 +161,7 @@ class ConditionalTarget:
         return _on_support(self.support, xp, lambda rows: self.model.logpdf(self.lift(rows)))
 
     def grad_log_density(self, xp):
-        """Gradient at one point; None outside the support."""
+        """Gradient at one point; None outside the support (the benchmark traces it)."""
         return self.log_density_and_grad(xp)[1]
 
     def log_density_and_grad(self, xp):
@@ -170,7 +170,7 @@ class ConditionalTarget:
         sum is not pinned, and the gradient projected to R^{d-1}; (-inf, None)
         where a lifted coordinate is not above its margin's lower end or the
         density is 0."""
-        row = [*xp, self.K - sum(xp)]
+        row = [*xp, self.K - total(xp)]
         if not (self._everywhere or all(map(gt, row, self.support.lower))):
             return -math.inf, None
         lp, g = self.model.logpdf_and_grad(row)

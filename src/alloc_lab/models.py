@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import add, mul, sub
+from functools import cached_property
+from operator import sub
 
 import numpy as np
 from scipy import special
@@ -32,6 +32,30 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # cells of the grid on which MarginCopula tabulates its latent-to-loss map
 SCREEN_CELLS = 4096
+# the bounds to which unit-cube rows are clipped before a quantile or a copula density
+UNIT_CLIP = (1e-15, 1.0 - 1e-15)
+
+
+def _written_out(term, params):
+    """A dict whose entry n, made on first use, is the lambda term(0) + ... + term(n - 1)."""
+    class Lines(dict):
+        def __missing__(self, n):
+            self[n] = f = eval(f"lambda {params}: {' + '.join(map(term, range(n))) or 0.0}")
+            return f
+    return Lines()
+
+
+# dot(a, b) = a[0]*b[0] + a[1]*b[1] + ... and total(a) = a[0] + a[1] + ..., on floats
+# and arrays alike, added left to right on any Python (sum() compensates from 3.12 on)
+_DOTS, _TOTALS = _written_out("a[{0}]*b[{0}]".format, "a, b"), _written_out("a[{0}]".format, "a")
+
+
+def dot(a, b):
+    return _DOTS[len(a)](a, b)
+
+
+def total(a):
+    return _TOTALS[len(a)](a)
 
 
 def _int_at_least(v, low):
@@ -100,21 +124,12 @@ def split_seeds(seed, n):
 # ---------------------------------------------------------------------------
 
 class Margin:
-    """One-dimensional marginal distribution; `_ppf` is its quantile formula."""
+    """One-dimensional marginal distribution: `cdf`, `logpdf`, its derivative
+    `dlogpdf` for analytic joint gradients, and `_ppf`, its quantile formula."""
 
     lower = -math.inf
     upper = math.inf
     has_density = True
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def logpdf(self, x):
-        raise NotImplementedError
-
-    def dlogpdf(self, x):
-        """Derivative of logpdf, used for analytic joint gradients."""
-        raise NotImplementedError
 
     def quantile(self, p):
         """The p-quantile; refuses a NaN, a p outside [0, 1], and p = 0 or 1
@@ -259,14 +274,7 @@ class Empirical(Margin):
         if not np.all(np.isfinite(sample)):
             raise DataError("empirical margin sample contains non-finite values")
         self.sample = np.sort(sample)
-
-    @property
-    def lower(self):
-        return float(self.sample[0])
-
-    @property
-    def upper(self):
-        return float(self.sample[-1])
+        self.lower, self.upper = float(self.sample[0]), float(self.sample[-1])
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -288,7 +296,7 @@ class Empirical(Margin):
 class DispersionMatrix:
     """Symmetric positive-definite matrix with its Cholesky factor L and the
     inverse factor L^{-1}, both computed once; L^{-1} is also kept as lists of
-    its rows and of its columns, for evaluations on Python floats."""
+    its rows and of its columns, for `dot`."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -321,17 +329,20 @@ class DispersionMatrix:
     def d(self):
         return self.matrix.shape[0]
 
+    def whiten(self, z):
+        """L^{-1} z for the coordinates z of a point (floats) or of rows (arrays)."""
+        return [dot(row, z) for row in self.inv_chol_rows]
+
     def maha_sq(self, z):
-        """z' Sigma^{-1} z for rows z, via the Cholesky factor."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        w = np.linalg.solve(self.chol, z.T)
-        return np.sum(w * w, axis=0)
+        """z' Sigma^{-1} z = |L^{-1} z|^2 for rows z, each row's as if alone."""
+        w = self.whiten(np.atleast_2d(np.asarray(z, dtype=float)).T.copy())
+        return dot(w, w)
 
 
 # A density generator g, evaluated at t, half the squared Mahalanobis
 # distance, gives log g as log_g(t, d) (t a float, on which it makes no numpy
-# call, or an array of them), its derivative at a float t as dlog_g(t, d), and
-# the log of the constant c_d that normalizes it in d dimensions as log_c(d).
+# call, or an array of them, each with its bits as a float), its derivative at
+# a float t as dlog_g(t, d), and log c_d, which normalizes it, as log_c(d).
 
 @dataclass(frozen=True)
 class NormalGen:
@@ -353,10 +364,11 @@ class StudentTGen:
         _require_positive("StudentTGen", nu=self.nu)
 
     def log_g(self, t, d):
-        # the factor 2 restores the full squared Mahalanobis distance,
-        # making c_d * g(q/2) the standard t_nu density
-        log1p = math.log1p if isinstance(t, float) else np.log1p
-        return -(d + self.nu) / 2.0 * log1p(2.0 * t / self.nu)
+        # the factor 2 restores the full squared Mahalanobis distance, making
+        # c_d * g(q/2) the standard t_nu density; an array takes math.log1p too
+        s = 2.0 * t / self.nu
+        s = math.log1p(s) if isinstance(s, float) else np.array(list(map(math.log1p, s.tolist())))
+        return -(d + self.nu) / 2.0 * s
 
     def dlog_g(self, t, d):
         return -(d + self.nu) / (self.nu + 2.0 * t)
@@ -405,32 +417,30 @@ class EllipticalJoint:
         # first two terms into one constant keeps every bit
         self._log_norm = float(generator.log_c(self.d) - 0.5 * self.dispersion.log_det)
 
+    def _evaluate(self, z):
+        """(log f, w = L^{-1} z, t = |w|^2 / 2) at the coordinates z of x - mu,
+        floats for one point or arrays for rows, by one rule for both."""
+        w = self.dispersion.whiten(z)
+        t = 0.5 * dot(w, w)
+        return self._log_norm + self.generator.log_g(t, self.d), w, t
+
     def logpdf(self, x):
         """log f at one point x of shape (d,), as a float, or at rows of
-        shape (n, d).  The triangular solve of a batch and that of a single
-        point can round differently, so a point's value from a batch call
-        may differ in the last bit from its value alone."""
+        shape (n, d), each row's bitwise its `logpdf_and_grad` value."""
         x = np.asarray(x, dtype=float)
-        t = 0.5 * self.dispersion.maha_sq(x - self.mu)
-        out = self._log_norm + self.generator.log_g(t, self.d)
+        out = self._evaluate((np.atleast_2d(x) - self.mu).T.copy())[0]
         return float(out[0]) if x.ndim == 1 else out
 
     def logpdf_and_grad(self, x):
-        """(logpdf, gradient) at one point x, a sequence of d floats, as a
-        float and a list, on Python floats: w = L^{-1}(x - mu) from the rows
-        of the cached inverse factor, t = |w|^2 / 2, and the gradient
-        dlog_g(t) L^{-T} w from its columns."""
+        """(logpdf, gradient dlog_g(t) L^{-T} w) at one point x, a sequence of d
+        floats, as a float and a list, on Python floats."""
         if len(x) != self.d:
             raise ShapeError("gradient is evaluated at a single point")
-        z = list(map(sub, x, self._mu))
-        w = [sum(map(mul, row, z)) for row in self.dispersion.inv_chol_rows]
-        t = 0.5 * sum(map(mul, w, w))
+        lp, w, t = self._evaluate(list(map(sub, x, self._mu)))
         if not isinstance(t, float):    # x had rows, not coordinates
             raise ShapeError("gradient is evaluated at a single point")
-        gen, d = self.generator, self.d
-        scale = gen.dlog_g(t, d)
-        return (self._log_norm + gen.log_g(t, d),
-                [scale * sum(map(mul, col, w)) for col in self.dispersion.inv_chol_cols])
+        scale = self.generator.dlog_g(t, self.d)
+        return lp, [scale * dot(col, w) for col in self.dispersion.inv_chol_cols]
 
     def margin_lowers(self):
         return np.full(self.d, -np.inf)
@@ -453,20 +463,17 @@ class EllipticalJoint:
 # ---------------------------------------------------------------------------
 
 class CopulaModel:
-    """A copula sampled as a latent draw mapped to the unit cube coordinatewise.
+    """A copula sampled as n latent rows, `latent(n, rng)`, mapped to the unit
+    cube by `to_uniform`, coordinatewise and nondecreasing in each coordinate.
 
-    `to_uniform` is nondecreasing in each coordinate.  A copula whose latent
-    law has a fixed range also defines `grid_nodes(cells)`, the latent values
-    of cells + 1 nodes from the bottom to the top of that range, and
-    `grid_position(latent, cells, out)`, which writes the position of each
-    latent value on that grid in units of cells (NaN where it has none);
+    A copula whose latent law has a fixed range also defines `grid_nodes(cells)`,
+    the latent values of cells + 1 nodes from the bottom to the top of that
+    range, and `grid_position(latent, cells, out)`, which writes the position of
+    each latent value on that grid in units of cells (NaN where it has none);
     MarginCopula tabulates its latent-to-loss map on those nodes.
     `logdensity(u)` is log c at rows u, and `logdensity_and_grad(u)` log c
     and its gradient in u at one point u of the open unit cube.
     """
-
-    def latent(self, n, rng):
-        raise NotImplementedError
 
     def to_uniform(self, latent):
         return latent
@@ -545,12 +552,12 @@ class StudentTCopula(CopulaModel):
         return self.joint.logpdf(z) - np.sum(self.margin.logpdf(z), axis=1)
 
     def logdensity_and_grad(self, u):
-        """From one inversion z of u: log c as `logdensity` gives it, and dlog c/du_j
-        = (dlog t_{nu,corr}/dz_j - dlog t_nu/dz_j) / t_nu(z_j) on the joint's float route."""
+        """From one inversion z of u and one joint `logpdf_and_grad`: log c as `logdensity`
+        gives it, and dlog c/du_j = (dlog t_{nu,corr}/dz_j - dlog t_nu/dz_j) / t_nu(z_j)."""
         z = self._z(u)
         log_t1 = self.margin.logpdf(z)
-        dz = self.joint.logpdf_and_grad(z[0].tolist())[1]
-        return (float(self.joint.logpdf(z)[0] - np.sum(log_t1, axis=1)[0]),
+        lj, dz = self.joint.logpdf_and_grad(z[0].tolist())
+        return (lj - float(np.sum(log_t1, axis=1)[0]),
                 (np.array(dz) - self.margin.dlogpdf(z[0])) * np.exp(-log_t1[0]))
 
 
@@ -573,28 +580,22 @@ class MarginCopula:
     def largest_sum(self):
         """The sum of the margins' upper ends: the copulas here put mass near
         every corner of the unit cube."""
-        return float(sum(m.upper for m in self.margins))
+        return float(total([m.upper for m in self.margins]))
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         x2 = np.atleast_2d(x)
         out = np.full(x2.shape[0], -np.inf)
         ok = np.all(x2 >= self.margin_lowers(), axis=-1)
         if np.any(ok):
-            xs = x2[ok]
-            lm = np.zeros(xs.shape[0])
-            u = np.empty_like(xs)
-            for j, m in enumerate(self.margins):
-                lm += m.logpdf(xs[:, j])
-                u[:, j] = m.cdf(xs[:, j])
+            cols = list(zip(self.margins, x2[ok].T))
+            lm = total([m.logpdf(c) for m, c in cols])
+            u = np.column_stack([m.cdf(c) for m, c in cols])
             finite = np.isfinite(lm)
-            lc = np.full(xs.shape[0], -np.inf)
-            if np.any(finite):
-                uf = np.clip(u[finite], 1e-15, 1.0 - 1e-15)
-                lc[finite] = self.copula.logdensity(uf)
+            lc = np.full(u.shape[0], -np.inf)
+            lc[finite] = self.copula.logdensity(np.clip(u[finite], *UNIT_CLIP))
             out[ok] = lm + lc
-        return float(out[0]) if single else out
+        return float(out[0]) if x.ndim == 1 else out
 
     def logpdf_and_grad(self, x):
         """(logpdf, gradient as a list) at one point x, a sequence of d floats,
@@ -611,8 +612,8 @@ class MarginCopula:
         if np.any(xs == lows):
             raise BoundaryError("gradient requested on the support boundary")
         u = np.concatenate([m.cdf(c) for m, c in cols])
-        lc, dc = self.copula.logdensity_and_grad(np.clip(u, 1e-15, 1.0 - 1e-15))
-        lp = reduce(add, log_f.tolist()) + lc       # added as logpdf adds them
+        lc, dc = self.copula.logdensity_and_grad(np.clip(u, *UNIT_CLIP))
+        lp = total(log_f.tolist()) + lc       # added as logpdf adds them
         if not lp > -math.inf:
             return lp, None
         dlm = np.concatenate([m.dlogpdf(c) for m, c in cols])
@@ -697,7 +698,7 @@ class MarginCopula:
 
 def _quantiles(margins, u):
     """Losses of unit-cube rows u: clipped, then through each margin's quantile."""
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    u = np.clip(u, *UNIT_CLIP)
     x = np.empty_like(u)
     for j, m in enumerate(margins):
         x[:, j] = m.quantile(u[:, j])

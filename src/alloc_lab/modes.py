@@ -85,9 +85,9 @@ def kde_logvalues(points, samples, bandwidth):
     """Log Gaussian-KDE values at `points`.
 
     Ranks the mean-shift fixed points of models without a density.  Points
-    go through in blocks of about 2**16 kernel entries, one triangular solve
-    per block; each point's value is bitwise the one of a point-by-point
-    evaluation.
+    go through in blocks of about 2**16 kernel entries, each block's
+    differences whitened at once by `DispersionMatrix.maha_sq`; each point's
+    value is bitwise the one of a point-by-point evaluation.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     samples = np.atleast_2d(np.asarray(samples, dtype=float))

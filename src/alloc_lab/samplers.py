@@ -16,7 +16,7 @@ from .errors import (
     SampleSizeError,
     StabilityError,
 )
-from .models import (FLAG, POSITIVE, _finite_positive, _int_at_least, checked, integer,
+from .models import (FLAG, POSITIVE, _finite_positive, _int_at_least, checked, dot, integer,
                      or_null, rng_from_seed)
 
 
@@ -353,7 +353,7 @@ def _advance_with_reflection(x, p, dt, billiard, max_reflections=MAX_REFLECTIONS
         end = [xi + dt * (mi * pi) for xi, mi, pi in zip(x, inv_mass, p)]
         if all(map(math.isfinite, end)):
             for a, lo, hi in slabs:
-                if not lo < sum(map(mul, a, end)) < hi:
+                if not lo < dot(a, end) < hi:
                     break
             else:
                 return end, p, True
@@ -447,7 +447,7 @@ def hmc_reflect_chain(target, polytope, cfg):
     divergent = 0
     for i in range(cfg.chain_length):
         p = (rng.standard_normal(d) * sqrt_mass).tolist()
-        h0 = -lx + 0.5 * sum(map(mul, p, map(mul, inv_mass, p)))
+        h0 = -lx + 0.5 * dot(p, list(map(mul, inv_mass, p)))
         q, pq = x, [pi + half * gi for pi, gi in zip(p, gx)]
         ok = True
         for step in range(steps):
@@ -463,7 +463,7 @@ def hmc_reflect_chain(target, polytope, cfg):
             # gradient is not; stopping at the first step past the bound keeps
             # a diverging trajectory from overflowing
             p_full = [pi + half * gi for pi, gi in zip(pq, gq)]
-            h1 = -lq + 0.5 * sum(map(mul, p_full, map(mul, inv_mass, p_full)))
+            h1 = -lq + 0.5 * dot(p_full, list(map(mul, inv_mass, p_full)))
             ok = math.isfinite(h1) and (h1 - h0) < 1000.0
             if not ok:
                 break

@@ -912,6 +912,23 @@ def test_main_run_warns_of_sample_rows_that_miss_K(tmp_path, capsys):
     assert "sum to K" not in capsys.readouterr().err
 
 
+def test_main_run_warns_once_of_the_rows_that_miss_K(tmp_path, capsys):
+    # one line for the run, with the count of every replication that has such rows
+    path, _ = small_config(tmp_path, replications=3, capital={"rule": "fixed", "K": 0.1},
+                           sampler={"method": "hmc", "chain_length": 300})
+    assert main(["run", path, "--output", str(tmp_path / "res")]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "sum to K" in line]
+    assert len(lines) == 1
+    match = re.fullmatch(r"warning: (replication 0: (\d+) of (\d+), replication 1: \d+ of \3, "
+                         r"replication 2: \d+ of \3 sample rows do not sum to K = 0\.1 "
+                         r"in floating point)", lines[0])
+    samples = np.loadtxt(tmp_path / "res" / "samples.csv", delimiter=",", skiprows=1)
+    assert match and int(match[3]) == samples.shape[0]
+    assert int(match[2]) == np.count_nonzero(samples.sum(axis=1) != 0.1)
+    report = json.loads((tmp_path / "res" / "report.json").read_text())
+    assert [w for w in report["warnings"] if "sum to K" in w] == [match[1]]
+
+
 def test_main_run_output_bases(tmp_path, monkeypatch):
     # --output is taken from the working directory, the config's output key
     # ("out") from the config file's directory

@@ -151,11 +151,19 @@ def test_dispersion_validation():
         al.DispersionMatrix(np.ones((2, 3)))
 
 
-def test_dispersion_solve_and_maha():
+def test_dispersion_solve_and_maha(monkeypatch):
     m = al.DispersionMatrix(REF_CORR)
     x = np.array([0.3, -1.2, 0.7])
-    np.testing.assert_allclose(m.maha_sq(x)[0], x @ np.linalg.solve(REF_CORR, x),
-                               rtol=1e-12)
+    expected = x @ np.linalg.solve(REF_CORR, x)
+    rows = np.random.default_rng(8).standard_normal((50, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    # rows are whitened by the rows of the inverse factor, each alone
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    np.testing.assert_allclose(m.maha_sq(x)[0], expected, rtol=1e-12)
+    assert [m.maha_sq(r)[0] for r in rows] == m.maha_sq(rows).tolist()
     assert abs(m.log_det - math.log(np.linalg.det(REF_CORR))) < 1e-12
 
 
@@ -231,7 +239,7 @@ def test_float_evaluation_matches_the_batch_logpdf_and_differences(generator, d)
     for x, lp_batch in zip(points, batch):
         lp, g = ell.logpdf_and_grad(x.tolist())
         assert type(lp) is float and isinstance(g, list) and all(type(v) is float for v in g)
-        assert math.isclose(lp, lp_batch, rel_tol=1e-12)
+        assert lp == lp_batch == ell.logpdf(x)
         np.testing.assert_allclose(g, _fd_grad(ell.logpdf, x), rtol=1e-5, atol=1e-8)
 
 
@@ -276,7 +284,9 @@ def test_t_copula_density_oracle():
 
 def _t_copula_reference(cop, u):
     """logdensity of a StudentTCopula at u by the formulas that wrote its
-    univariate t margin out, kept as the reference for their bits."""
+    univariate t margin out, kept as the reference for their bits.  The
+    joint's log1p is math.log1p of each value, as a point's evaluation
+    takes it, and the margin's is np.log1p of the array."""
     z = special.stdtrit(cop.nu, np.atleast_2d(u))
     nu, d = cop.nu, cop.d
     c1 = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
@@ -286,7 +296,7 @@ def _t_copula_reference(cop, u):
     log_joint = (
         special.gammaln((nu + d) / 2.0) - special.gammaln(nu / 2.0)
         - d / 2.0 * math.log(nu * math.pi) - 0.5 * cop.corr.log_det
-        - (nu + d) / 2.0 * np.log1p(q / nu)
+        - (nu + d) / 2.0 * np.array([math.log1p(v) for v in (q / nu).tolist()])
     )
     return log_joint - np.sum(log_t1, axis=1)
 
@@ -304,6 +314,19 @@ def test_t_copula_is_bitwise_its_written_out_formulas(d, nu):
     u[3] = [1e-15, 1.0 - 1e-15, 1e-15][:d]
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
     assert cop.logdensity(u).tobytes() == _t_copula_reference(cop, u).tobytes()
+
+
+def test_t_copula_point_evaluation_evaluates_its_joint_once(monkeypatch):
+    cop = al.StudentTCopula(5.0, MIXED_CORR)
+    u = np.array([0.3, 0.92, 0.05, 0.6])
+    calls = []
+    for name in ("logpdf", "logpdf_and_grad"):
+        method = getattr(al.EllipticalJoint, name)
+        monkeypatch.setattr(al.EllipticalJoint, name, lambda joint, z, name=name, method=method:
+                            calls.append(name) or method(joint, z))
+    lc, dc = cop.logdensity_and_grad(u)
+    assert calls == ["logpdf_and_grad"]
+    assert lc == cop.logdensity(u[None, :])[0]
 
 
 def test_t_copula_samples_in_cube():
@@ -396,8 +419,8 @@ POINT_MODELS = {
 
 @pytest.mark.parametrize("name", POINT_MODELS)
 def test_point_evaluation(name, monkeypatch):
-    # logpdf_and_grad is the one evaluation at a point: logpdf's value (bit
-    # for bit for a margin copula), its gradient, one inversion u -> z of a
+    # logpdf_and_grad is the one evaluation at a point: logpdf's value bit
+    # for bit, alone and in a batch, its gradient, one inversion u -> z of a
     # t copula, (-inf, None) outside the support, a refusal on a lower end
     model, x = POINT_MODELS[name]
     inversions = []
@@ -408,10 +431,7 @@ def test_point_evaluation(name, monkeypatch):
     copula = getattr(model, "copula", None)
     assert len(inversions) == isinstance(copula, al.StudentTCopula)
     assert type(lp) is float and isinstance(g, list) and all(type(v) is float for v in g)
-    if copula is None:
-        assert math.isclose(lp, model.logpdf(np.array(x)), rel_tol=1e-12)
-    else:
-        assert lp == model.logpdf(np.array(x))
+    assert lp == model.logpdf(np.array(x)) == model.logpdf(np.array([x]))[0]
     np.testing.assert_allclose(g, _fd_grad(model.logpdf, x), rtol=1e-5)
     if copula is not None:
         # the copula's own point evaluation: logdensity's value, its u-gradient

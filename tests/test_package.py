@@ -224,3 +224,20 @@ def test_no_module_defines_a_gradient_only_method():
                                ("grad_logpdf", "dlogdensity_du"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def builtin_sum_calls(source):
+    """Line numbers at which source calls the built-in sum, or reduce."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("sum", "reduce"))
+
+
+def test_the_chain_path_calls_no_builtin_sum():
+    # the built-in sum() compensates from CPython 3.12 on; models.dot and
+    # models.total add left to right on every version
+    assert builtin_sum_calls("a = sum(x)\nb = np.sum(x)\nc = x.sum()\nd = reduce(f, x)\n") \
+        == [1, 4]
+    found = {name: builtin_sum_calls((PACKAGE / name).read_text(encoding="utf-8"))
+             for name in ("models.py", "samplers.py", "conditional.py")}
+    assert found == {"models.py": [], "samplers.py": [], "conditional.py": []}
